@@ -14,22 +14,40 @@ import json
 import os
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import __version__, data as data_mod, train as train_mod
 from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate
 from .encoder import EncoderConfig
-from .model import MODES, MtlModel, ModelConfig, load_checkpoint, predict, save_checkpoint
-from .preprocess import build_vocab, clean_text, encode
-from .train import LabelSpaceError, TrainConfig, evaluate, write_confusion, write_history
+from .model import MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
+from .preprocess import Vocabulary, build_vocab, clean_text
+from .train import LabelSpaceError, TrainConfig, evaluate, predict_texts, write_confusion, write_history
 
 SEED_ENV_VAR = "MTLID_SEED"
 
+# Settings the command line fixes (max_size comes from encoder.vocab_size);
+# a config file may not set them.
+_CLI_OWNED = {"mode", "n_countries", "n_provinces", "seed", "max_size"}
+
+
+def _settings(cls) -> list[str]:
+    """Fields of a dataclass that carry a plain default value.
+
+    Fields without one are data (a vocabulary's tokens) or, with a
+    default factory, a nested section of their own (ModelConfig.encoder).
+    """
+    return [f.name for f in fields(cls) if f.default is not MISSING]
+
+
 _CONFIG_SECTIONS = {
-    "encoder": {"d_model", "n_layers", "n_heads", "d_ff", "l_max", "vocab_size", "dropout_rate"},
-    "model": {"hidden_size", "loss_weights"},
-    "train": {"learning_rate", "batch_size", "epochs", "seed", "shuffle", "eval_every"},
-    "vocab": {"min_frequency"},
+    section: set(_settings(cls)) - _CLI_OWNED
+    for section, cls in (
+        ("encoder", EncoderConfig),
+        ("model", ModelConfig),
+        ("train", TrainConfig),
+        ("vocab", Vocabulary),
+    )
 }
 
 
@@ -59,6 +77,8 @@ def _load_config_file(path: str) -> dict:
     for section, keys in raw.items():
         if section not in _CONFIG_SECTIONS:
             raise UsageError(f"config {path}: unknown section {section!r}")
+        if not isinstance(keys, dict):
+            raise UsageError(f"config {path}: section {section!r} must be a JSON object")
         unknown = set(keys) - _CONFIG_SECTIONS[section]
         if unknown:
             raise UsageError(f"config {path}: unknown keys in {section!r}: {sorted(unknown)}")
@@ -90,25 +110,18 @@ def cmd_train(args) -> int:
     dev_ds = relabel(load_tsv(args.dev), train_ds.country_labels, train_ds.province_labels)
 
     texts = [clean_text(ex.text) for ex in train_ds.examples]
-    vocab_cfg = file_cfg.get("vocab", {})
     enc_kwargs = dict(file_cfg.get("encoder", {}))
     vocab_cap = enc_kwargs.pop("vocab_size", EncoderConfig.vocab_size)
-    vocab = build_vocab(texts, min_frequency=vocab_cfg.get("min_frequency", 1), max_size=vocab_cap)
-
     try:
-        encoder_cfg = EncoderConfig(vocab_size=len(vocab), **enc_kwargs)
-        model_kwargs = dict(file_cfg.get("model", {}))
-        if "loss_weights" in model_kwargs:
-            model_kwargs["loss_weights"] = tuple(model_kwargs["loss_weights"])
+        vocab = build_vocab(texts, max_size=vocab_cap, **file_cfg.get("vocab", {}))
         model_cfg = ModelConfig(
-            encoder=encoder_cfg,
+            encoder=EncoderConfig(vocab_size=len(vocab), **enc_kwargs),
             n_countries=max(2, len(train_ds.country_labels)),
             n_provinces=max(2, len(train_ds.province_labels)),
             mode=args.mode,
-            **model_kwargs,
+            **file_cfg.get("model", {}),
         )
-        train_kwargs = dict(file_cfg.get("train", {}))
-        train_kwargs["seed"] = seed
+        train_kwargs = {**file_cfg.get("train", {}), "seed": seed}
         if args.paper_protocol:
             train_kwargs.update(train_mod.PAPER_PROTOCOL)
         train_cfg = TrainConfig(**train_kwargs)
@@ -124,21 +137,16 @@ def cmd_train(args) -> int:
     hist_path = out / "history.tsv"
     save_checkpoint(ckpt_path, model, train_ds.country_labels, train_ds.province_labels, vocab)
     write_history(hist_path, result.history)
+    model_doc = asdict(model_cfg)
     manifest = {
         "command": "train",
         "version": __version__,
         "seed": seed,
         "resolved_config": {
-            "encoder": vars(encoder_cfg),
-            "model": {
-                "mode": model_cfg.mode,
-                "n_countries": model_cfg.n_countries,
-                "n_provinces": model_cfg.n_provinces,
-                "hidden_size": model_cfg.hidden_size,
-                "loss_weights": list(model_cfg.loss_weights),
-            },
-            "train": vars(train_cfg),
-            "vocab": {"min_frequency": vocab.min_frequency, "max_size": vocab.max_size},
+            "encoder": model_doc.pop("encoder"),
+            "model": model_doc,
+            "train": asdict(train_cfg),
+            "vocab": {name: getattr(vocab, name) for name in _settings(Vocabulary)},
         },
         "inputs": {
             "train": {"path": str(args.train), "sha256": _sha256(args.train)},
@@ -173,21 +181,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.model)
     rows = load_texts(args.infile)
-    model = ckpt.model
-    l_max = model.config.encoder.l_max
+    preds = predict_texts(ckpt.model, ckpt.vocab, [text for _, text in rows])
+    labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}
     lines = []
-    batch_size = 64
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start : start + batch_size]
-        seqs = [encode(clean_text(text), ckpt.vocab, l_max) for _, text in chunk]
-        logits_c, logits_p = model.forward(seqs, train_mode=False)
-        pred_c = predict(logits_c) if logits_c is not None else None
-        pred_p = predict(logits_p) if logits_p is not None else None
-        for i, (ex_id, _) in enumerate(chunk):
-            country = ckpt.country_labels[int(pred_c[i])] if pred_c is not None else "NA"
-            province = ckpt.province_labels[int(pred_p[i])] if pred_p is not None else "NA"
-            lines.append(f"{ex_id}\t{country}\t{province}")
-    Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    for i, (ex_id, _) in enumerate(rows):
+        names = [labels[task][preds[task][i]] if task in preds else "NA" for task in labels]
+        lines.append("\t".join([ex_id, *names]) + "\n")
+    Path(args.out).write_text("".join(lines), encoding="utf-8")
     return 0
 
 

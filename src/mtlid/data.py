@@ -44,7 +44,7 @@ class Dataset:
         return len(self.examples)
 
 
-def _parse_rows(path: str | Path, expect_labels: bool) -> list[tuple[int, list[str]]]:
+def _parse_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     raw = Path(path).read_text(encoding="utf-8")
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -58,7 +58,7 @@ def _parse_rows(path: str | Path, expect_labels: bool) -> list[tuple[int, list[s
 
 def load_tsv(path: str | Path) -> Dataset:
     """Parse a labeled TSV into a Dataset with lexicographic label ids."""
-    rows = _parse_rows(path, expect_labels=True)
+    rows = _parse_rows(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     parsed: list[tuple[str, str, str, str]] = []
@@ -94,7 +94,7 @@ def save_tsv(dataset: Dataset, path: str | Path) -> None:
 
 def load_texts(path: str | Path) -> list[tuple[str, str]]:
     """(id, text) rows for prediction inputs; label columns are optional."""
-    rows = _parse_rows(path, expect_labels=False)
+    rows = _parse_rows(path)
     out: list[tuple[str, str]] = []
     for lineno, cells in rows:
         if len(cells) not in (2, 4):

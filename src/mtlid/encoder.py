@@ -1,7 +1,7 @@
 """Compact trainable transformer encoder with a tanh pooler over position 0.
 
-Each block: multi-head self-attention with an additive -1e9 key-padding
-mask, residual + layer norm, GELU feed-forward, residual + layer norm.
+Each block: multi-head self-attention whose softmax excludes padded keys,
+residual + layer norm, GELU feed-forward, residual + layer norm.
 Weights are drawn from a name-seeded truncated normal (sigma 0.02, cut at
 +-2 sigma); biases start at zero and layer-norm gains at one.
 """
@@ -16,7 +16,6 @@ import numpy as np
 
 from .preprocess import TokenSequence, stack_sequences
 from .tensor import (
-    MASK_SCORE,
     Tensor,
     add,
     dropout,
@@ -27,7 +26,7 @@ from .tensor import (
     matmul,
     reshape,
     select,
-    softmax,
+    softmax_masked,
     tanh,
     transpose,
 )
@@ -112,7 +111,7 @@ def multi_head_attention(
     layer: str,
     n_heads: int,
 ) -> tuple[Tensor, Tensor]:
-    """Self-attention over x [B, L, d] with masked keys pushed to -1e9.
+    """Self-attention over x [B, L, d]; masked keys get exactly zero weight.
 
     Returns (output [B, L, d], attention probabilities [B, heads, L, L]).
     """
@@ -127,8 +126,7 @@ def multi_head_attention(
     k = project("k")
     v = project("v")
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-    key_bias = np.where(mask, 0.0, MASK_SCORE)[:, None, None, :].astype(x.data.dtype)
-    att = softmax(add(scores, Tensor(key_bias)))
+    att = softmax_masked(scores, mask[:, None, None, :])
     ctx = transpose(matmul(att, v), (0, 2, 1, 3))
     out = add(matmul(reshape(ctx, (b, l, d)), params[f"{layer}.attn.wo"]), params[f"{layer}.attn.bo"])
     return out, att

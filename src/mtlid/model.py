@@ -9,8 +9,9 @@ vocabularies, and the token vocabulary so a saved model is self-contained.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -207,22 +208,7 @@ def _config_document(
     vocab: Vocabulary,
 ) -> bytes:
     doc = {
-        "model": {
-            "mode": config.mode,
-            "n_countries": config.n_countries,
-            "n_provinces": config.n_provinces,
-            "hidden_size": config.hidden_size,
-            "loss_weights": list(config.loss_weights),
-            "encoder": {
-                "d_model": config.encoder.d_model,
-                "n_layers": config.encoder.n_layers,
-                "n_heads": config.encoder.n_heads,
-                "d_ff": config.encoder.d_ff,
-                "l_max": config.encoder.l_max,
-                "vocab_size": config.encoder.vocab_size,
-                "dropout_rate": config.encoder.dropout_rate,
-            },
-        },
+        "model": asdict(config),
         "country_labels": list(country_labels),
         "province_labels": list(province_labels),
         "vocab": list(vocab.id_to_token),
@@ -237,21 +223,32 @@ def save_checkpoint(
     province_labels: Sequence[str],
     vocab: Vocabulary,
 ) -> None:
-    """Write magic, version, config document, then parameters sorted by name."""
+    """Write magic, version, config document, then parameters sorted by name.
+
+    The bytes go to a temporary file that replaces path only once complete,
+    so a failed write leaves any previous checkpoint untouched.
+    """
     doc = _config_document(model.config, country_labels, province_labels, vocab)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<H", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(doc)))
-        f.write(doc)
-        for name in sorted(model.params):
-            data = model.params[name].data
-            name_b = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<H", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(doc)))
+            f.write(doc)
+            for name in sorted(model.params):
+                data = model.params[name].data
+                name_b = name.encode("utf-8")
+                f.write(struct.pack("<I", len(name_b)))
+                f.write(name_b)
+                f.write(struct.pack("<B", data.ndim))
+                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -276,14 +273,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError("corrupt config document") from exc
         try:
             m = doc["model"]
-            config = ModelConfig(
-                encoder=EncoderConfig(**m["encoder"]),
-                n_countries=m["n_countries"],
-                n_provinces=m["n_provinces"],
-                hidden_size=m["hidden_size"],
-                mode=m["mode"],
-                loss_weights=tuple(m["loss_weights"]),
-            )
+            config = ModelConfig(**{**m, "encoder": EncoderConfig(**m["encoder"])})
             country_labels = list(doc["country_labels"])
             province_labels = list(doc["province_labels"])
             tokens = list(doc["vocab"])

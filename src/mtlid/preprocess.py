@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -101,15 +100,6 @@ def encode(text: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
     return TokenSequence(ids=ids, mask=mask, true_length=n)
 
 
-def decode(seq: TokenSequence, vocab: Vocabulary) -> list[str]:
-    """Tokens at unmasked, non-CLS positions (UNK ids render as "[UNK]")."""
-    return [
-        vocab.token_for(int(i))
-        for i, m in zip(seq.ids, seq.mask)
-        if m and int(i) != CLS_ID
-    ]
-
-
 def stack_sequences(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Stack equal-width sequences into (ids [B,L], mask [B,L]) arrays."""
     if not seqs:
@@ -120,28 +110,3 @@ def stack_sequences(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarr
     ids = np.stack([s.ids for s in seqs])
     mask = np.stack([s.mask for s in seqs])
     return ids, mask
-
-
-def repad(seq: TokenSequence, l_max: int) -> TokenSequence:
-    """Re-emit the same true tokens at a new fixed width."""
-    if l_max < seq.true_length:
-        raise ValueError("repad: new width shorter than true_length")
-    ids = np.full(l_max, PAD_ID, dtype=np.int64)
-    ids[: seq.true_length] = seq.ids[: seq.true_length]
-    mask = np.zeros(l_max, dtype=bool)
-    mask[: seq.true_length] = True
-    return TokenSequence(ids=ids, mask=mask, true_length=seq.true_length)
-
-
-def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    """One token per line; the first three lines are the reserved entries."""
-    Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
-
-
-def load_vocab(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if tuple(lines[:3]) != RESERVED_TOKENS:
-        raise ValueError(f"vocabulary file must start with {RESERVED_TOKENS}")
-    kept = lines[3:]
-    token_to_id = {tok: i + len(RESERVED_TOKENS) for i, tok in enumerate(kept)}
-    return Vocabulary(token_to_id, list(lines), min_frequency=1, max_size=len(lines))

@@ -15,9 +15,6 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# Additive score applied to masked keys before a plain softmax.
-MASK_SCORE = -1e9
-
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
@@ -64,9 +61,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate d(self)/d(x) into x.grad for every reachable tensor.
 
@@ -98,28 +92,13 @@ class Tensor:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
 
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
     def __add__(self, other) -> "Tensor":
         return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other) -> "Tensor":
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
 
     def __matmul__(self, other) -> "Tensor":
         return matmul(self, other)
@@ -185,15 +164,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(data, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _make(data, (a, b), vjp)
 
@@ -280,17 +250,16 @@ def softmax(a: Tensor) -> Tensor:
 def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over the last axis restricted to unmasked positions.
 
-    Masked positions come out exactly 0; unmasked outputs are positive and
-    sum to 1 per row. Max-subtraction keeps the exponentials in range.
-    Raises DegenerateMaskError when a row has no unmasked position.
+    mask broadcasts against the scores. Masked positions are set to -inf,
+    so they come out exactly 0; unmasked outputs are positive and sum to 1
+    per row. Max-subtraction keeps the exponentials in range. Raises
+    DegenerateMaskError when a row has no unmasked position.
     """
     m = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
     if not m.any(axis=-1).all():
         raise DegenerateMaskError("softmax_masked: a row has every position masked")
-    neg_inf = np.where(m, scores.data, -np.inf)
-    mx = neg_inf.max(axis=-1, keepdims=True)
-    shifted = np.where(m, scores.data - mx, 0.0)
-    e = np.where(m, np.exp(shifted), 0.0)
+    kept = np.where(m, scores.data, -np.inf)
+    e = np.exp(kept - kept.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
@@ -497,12 +466,6 @@ def init_parameters(
     return params
 
 
-def zero_grads(params: Mapping[str, Tensor] | Iterable[Tensor]) -> None:
-    values = params.values() if isinstance(params, Mapping) else params
-    for p in values:
-        p.grad = None
-
-
 class Adam:
     """Bias-corrected Adam over a dict of named parameters, updated in place."""
 
@@ -549,4 +512,5 @@ class Adam:
             p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
 
     def zero_grad(self) -> None:
-        zero_grads(self.params)
+        for p in self.params.values():
+            p.grad = None

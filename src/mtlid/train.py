@@ -31,7 +31,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 5
     seed: int = 0
-    shuffle: bool = True
     eval_every: int = 1
 
     def __post_init__(self) -> None:
@@ -117,8 +116,8 @@ def macro_f1(gold: np.ndarray, pred: np.ndarray, n_classes: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def encode_dataset(dataset: Dataset, vocab: Vocabulary, l_max: int) -> list[TokenSequence]:
-    return [encode(clean_text(ex.text), vocab, l_max) for ex in dataset.examples]
+def _encode_texts(texts: Sequence[str], vocab: Vocabulary, l_max: int) -> list[TokenSequence]:
+    return [encode(clean_text(text), vocab, l_max) for text in texts]
 
 
 def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
@@ -138,9 +137,21 @@ def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
             raise LabelSpaceError(f"{which}: province id {ex.province} out of range")
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def predict_texts(
+    model: MtlModel, vocab: Vocabulary, texts: Sequence[str], batch_size: int = 64
+) -> dict[str, np.ndarray]:
+    """Dropout-off argmax class ids per task head, one per raw text, in order."""
+    seqs = _encode_texts(texts, vocab, model.config.encoder.l_max)
+    preds: dict[str, list[np.ndarray]] = {task: [] for task, _ in model.config.tasks()}
+    for start in range(0, len(seqs), batch_size):
+        logits_c, logits_p = model.forward(seqs[start : start + batch_size], train_mode=False)
+        for task, logits in (("country", logits_c), ("province", logits_p)):
+            if logits is not None:
+                preds[task].append(predict(logits))
+    return {
+        task: np.concatenate(batches) if batches else np.zeros(0, dtype=np.intp)
+        for task, batches in preds.items()
+    }
 
 
 def evaluate(
@@ -150,22 +161,15 @@ def evaluate(
     if not dataset.examples:
         raise ValueError("evaluate: empty dataset")
     _check_labels(dataset, model, "evaluate")
-    seqs = encode_dataset(dataset, vocab, model.config.encoder.l_max)
-    preds: dict[str, list[np.ndarray]] = {task: [] for task, _ in model.config.tasks()}
-    for idx in _batches(len(seqs), batch_size, np.arange(len(seqs))):
-        logits_c, logits_p = model.forward([seqs[i] for i in idx], train_mode=False)
-        if logits_c is not None:
-            preds["country"].append(predict(logits_c))
-        if logits_p is not None:
-            preds["province"].append(predict(logits_p))
+    preds = predict_texts(model, vocab, [ex.text for ex in dataset.examples], batch_size)
     gold = {
         "country": np.array([ex.country for ex in dataset.examples]),
         "province": np.array([ex.province for ex in dataset.examples]),
     }
     sizes = {"country": model.config.n_countries, "province": model.config.n_provinces}
     return {
-        task: metrics_from_predictions(gold[task], np.concatenate(batches), sizes[task])
-        for task, batches in preds.items()
+        task: metrics_from_predictions(gold[task], pred, sizes[task])
+        for task, pred in preds.items()
     }
 
 
@@ -186,8 +190,7 @@ def train(
     _check_labels(dataset_train, model, "train")
     if dataset_dev is not None:
         _check_labels(dataset_dev, model, "dev")
-    l_max = model.config.encoder.l_max
-    seqs = encode_dataset(dataset_train, vocab, l_max)
+    seqs = _encode_texts([ex.text for ex in dataset_train.examples], vocab, model.config.encoder.l_max)
     labels_c = np.array([ex.country for ex in dataset_train.examples])
     labels_p = np.array([ex.province for ex in dataset_train.examples])
     rng = np.random.default_rng(cfg.seed)
@@ -199,9 +202,10 @@ def train(
     best_snapshot: dict[str, np.ndarray] | None = None
     n = len(seqs)
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
-        for idx in _batches(n, cfg.batch_size, order):
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
             batch = [seqs[i] for i in idx]
             logits_c, logits_p = model.forward(batch, train_mode=True, rng=rng)
             total, report = compute_loss(logits_c, logits_p, labels_c[idx], labels_p[idx], model.config)

@@ -140,19 +140,30 @@ def test_seed_env_fallback(corpus, tmp_path, monkeypatch):
 
 
 def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
+    cases = [
+        ('{"encoder": {"bogus_knob": 1}}', "bogus_knob"),
+        ('{"encoder": 5}', "'encoder' must be a JSON object"),
+        ('{"vocab": {"min_frequency": 0}}', "min_frequency"),
+        ('{"encoder": {"vocab_size": 2}}', "max_size"),
+        # the seed comes from --seed or MTLID_SEED only
+        ('{"train": {"seed": 4}}', "'seed'"),
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text('{"encoder": {"bogus_knob": 1}}', encoding="utf-8")
-    code = main(
-        [
-            "train",
-            "--train", str(corpus["train"]),
-            "--dev", str(corpus["dev"]),
-            "--config", str(bad),
-            "--out", str(tmp_path / "o"),
-        ]
-    )
-    assert code == 2
-    assert "bogus_knob" in capsys.readouterr().err
+    for config, needle in cases:
+        bad.write_text(config, encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "--train", str(corpus["train"]),
+                "--dev", str(corpus["dev"]),
+                "--config", str(bad),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2, config
+        assert err.startswith("error: ") and needle in err, (config, err)
+        assert not (tmp_path / "o").exists()
 
 
 def test_inputs_never_mutated(corpus, trained):

@@ -12,7 +12,7 @@ from mtlid.encoder import (
     multi_head_attention,
     param_specs,
 )
-from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, repad
+from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence
 from mtlid.tensor import sum_all
 
 TOY = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.0)
@@ -116,7 +116,10 @@ def test_padding_invariance_across_widths():
     p_narrow = init_encoder_params(narrow_cfg, global_seed=0, dtype=np.float64)
     p_wide = init_encoder_params(wide_cfg, global_seed=0, dtype=np.float64)
     seqs = [make_seq(rng, 8, 5), make_seq(rng, 8, 8)]
-    wide_seqs = [repad(s, 12) for s in seqs]
+    wide_seqs = [
+        TokenSequence(np.pad(s.ids, (0, 4), constant_values=PAD_ID), np.pad(s.mask, (0, 4)), s.true_length)
+        for s in seqs
+    ]
     h_narrow = encode_batch(seqs, p_narrow, narrow_cfg).h.data
     h_wide = encode_batch(wide_seqs, p_wide, wide_cfg).h.data
     for b, seq in enumerate(seqs):

@@ -1,10 +1,12 @@
 """Model assembly: forward wiring, losses, argmax, checkpoints, head isolation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from mtlid import model as model_mod
 from mtlid.encoder import EncoderConfig
 from mtlid.model import (
     MODE_COUNTRY,
@@ -12,6 +14,7 @@ from mtlid.model import (
     CheckpointError,
     MtlModel,
     ModelConfig,
+    _config_document,
     compute_loss,
     load_checkpoint,
     predict,
@@ -306,6 +309,44 @@ def test_checkpoint_bad_magic_rejected(saved):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_config_document_bytes_pinned():
+    # The document is derived from the config dataclasses; a new field must
+    # not change the checkpoint format unnoticed.
+    enc = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ff=8, l_max=4, vocab_size=5, dropout_rate=0.0)
+    config = ModelConfig(
+        encoder=enc, n_countries=3, n_provinces=4, hidden_size=5, mode=MODE_COUNTRY, loss_weights=(1, 0.5)
+    )
+    doc = _config_document(config, ["egypt", "iraq", "jordan"], ["p0", "p1", "p2", "p3"], build_vocab(["a b"]))
+    assert doc == (
+        b'{"country_labels":["egypt","iraq","jordan"],"model":{"encoder":{"d_ff":8,"d_model":4,'
+        b'"dropout_rate":0.0,"l_max":4,"n_heads":1,"n_layers":1,"vocab_size":5},"hidden_size":5,'
+        b'"loss_weights":[1.0,0.5],"mode":"country","n_countries":3,"n_provinces":4},'
+        b'"province_labels":["p0","p1","p2","p3"],"vocab":["[PAD]","[UNK]","[CLS]","a","b"]}'
+    )
+
+
+def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch):
+    path, model, labels_c, labels_p, vocab = saved
+    before = path.read_bytes()
+    real_pack = struct.pack
+    calls = []
+
+    def failing_pack(*args):
+        calls.append(args)
+        if len(calls) == 10:
+            raise OSError("disk full")
+        return real_pack(*args)
+
+    monkeypatch.setattr(model_mod.struct, "pack", failing_pack)
+    for p in model.params.values():
+        p.data = p.data + 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, labels_c, labels_p, vocab)
+    assert len(calls) == 10
+    assert path.read_bytes() == before
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_checkpoint_predictions_survive_round_trip(saved):

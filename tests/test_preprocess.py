@@ -7,15 +7,10 @@ from mtlid.preprocess import (
     ARABIC_DIACRITICS,
     CLS_ID,
     PAD_ID,
-    RESERVED_TOKENS,
     UNK_ID,
     build_vocab,
     clean_text,
-    decode,
     encode,
-    load_vocab,
-    repad,
-    save_vocab,
     stack_sequences,
 )
 
@@ -168,48 +163,8 @@ def test_encode_mask_is_prefix(small_vocab):
         assert all(i == PAD_ID for i, keep in zip(seq.ids, seq.mask) if not keep)
 
 
-def test_decode_reencode_stability(small_vocab):
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        text = " ".join(["a", "b"][int(i)] for i in rng.integers(0, 2, size=int(rng.integers(0, 5))))
-        seq = encode(text, small_vocab, l_max=8)
-        again = encode(" ".join(decode(seq, small_vocab)), small_vocab, l_max=8)
-        assert np.array_equal(seq.ids, again.ids)
-
-
 def test_stack_sequences_shapes(small_vocab):
     seqs = [encode("a", small_vocab, 4), encode("b b", small_vocab, 4)]
     ids, mask = stack_sequences(seqs)
     assert ids.shape == (2, 4) and mask.shape == (2, 4)
     assert ids.dtype == np.int64 and mask.dtype == np.bool_
-
-
-def test_repad_preserves_tokens(small_vocab):
-    seq = encode("a b", small_vocab, 4)
-    wide = repad(seq, 9)
-    assert wide.true_length == seq.true_length
-    assert np.array_equal(wide.ids[:4], seq.ids)
-    assert not wide.mask[3:].any()
-
-
-# ---------------------------------------------------------------------------
-# vocabulary file
-# ---------------------------------------------------------------------------
-
-
-def test_vocab_file_round_trip(tmp_path, small_vocab):
-    path = tmp_path / "vocab.txt"
-    save_vocab(small_vocab, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert tuple(lines[:3]) == RESERVED_TOKENS
-    assert lines[3] == "a"  # line 4 holds id 3
-    loaded = load_vocab(path)
-    assert loaded.id_to_token == small_vocab.id_to_token
-    assert loaded.token_to_id == small_vocab.token_to_id
-
-
-def test_vocab_file_rejects_bad_header(tmp_path):
-    path = tmp_path / "vocab.txt"
-    path.write_text("[PAD]\n[CLS]\n[UNK]\na\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_vocab(path)
