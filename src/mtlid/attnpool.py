@@ -1,7 +1,8 @@
 """Per-task attention pooling over contextual embeddings.
 
-Given H [B, L, d] and a padding mask, each task layer computes
-tanh(H w_a), mixes positions through a fixed-width L x L matrix, masks
+Given H [B, W, d] and a padding mask, each task layer computes
+tanh(H w_a), mixes positions through an l_max x l_max matrix cropped to
+its leading W x W corner (W is the batch width, at most l_max), masks
 and normalizes the resulting scores, and returns the weighted sum of H
 rows: a task-specific sentence vector that always lies in the convex
 hull of the unmasked rows.
@@ -17,6 +18,7 @@ import numpy as np
 from .preprocess import TokenSequence, Vocabulary
 from .tensor import (
     Tensor,
+    crop,
     init_parameters,
     matmul,
     mul,
@@ -50,11 +52,13 @@ def init_task_attention_params(
 def task_attention(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) -> TaskAttentionOutput:
     """Pool H [B, L, d] into one vector per example.
 
-    Masked positions are zeroed before the position-mixing product and
-    excluded from the softmax, so padding influences neither the scores
-    nor the pooled vector. Raises DegenerateMaskError on an all-masked row.
+    w_alpha [l_max, l_max] is cropped to its leading L x L corner. Masked
+    positions are zeroed before the position-mixing product and excluded
+    from the softmax, so padding influences neither the scores nor the
+    pooled vector. Raises DegenerateMaskError on an all-masked row.
     """
     b, l, _ = h.shape
+    w_alpha = crop(w_alpha, (l, l))
     mask = np.asarray(mask, dtype=bool)
     scores_keep = Tensor(mask.astype(h.data.dtype)[:, :, None])
     c = mul(tanh(matmul(h, w_a)), scores_keep)  # [B, L, 1]

@@ -9,6 +9,7 @@ Weights are drawn from a name-seeded truncated normal (sigma 0.02, cut at
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .preprocess import TokenSequence, stack_sequences
 from .tensor import (
     Tensor,
     add,
+    crop,
     dropout,
     embedding,
     gelu,
@@ -32,6 +34,14 @@ from .tensor import (
 )
 
 
+def require_count(name: str, value) -> None:
+    """A config count must be a positive integer; 2.0 and True are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 @dataclass
 class EncoderConfig:
     d_model: int = 64
@@ -44,8 +54,9 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("d_model", "n_layers", "n_heads", "d_ff", "l_max", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            require_count(name, getattr(self, name))
+        if self.l_max < 2:
+            raise ValueError("l_max must be >= 2")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
@@ -56,7 +67,7 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    h: Tensor  # [B, l_max, d_model] contextual embeddings
+    h: Tensor  # [B, W, d_model] contextual embeddings; W is the batch's longest true_length
     pooled: Tensor  # [B, d_model] tanh pooler over position 0
 
 
@@ -98,10 +109,15 @@ def init_encoder_params(
 
 
 def embed(seqs: Sequence[TokenSequence], params: dict[str, Tensor], prefix: str = "encoder") -> Tensor:
-    """Token embedding plus learned positional embedding, [B, L, d]."""
+    """Token embedding plus learned positional embedding, [B, W, d].
+
+    W is the batch width from stack_sequences; the positional table's
+    first W rows are used.
+    """
     ids, _ = stack_sequences(seqs)
     tok = embedding(params[f"{prefix}.tok_emb"], ids)
-    return add(tok, params[f"{prefix}.pos_emb"])
+    pos = params[f"{prefix}.pos_emb"]
+    return add(tok, crop(pos, (ids.shape[1], pos.shape[1])))
 
 
 def multi_head_attention(

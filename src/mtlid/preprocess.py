@@ -76,9 +76,11 @@ def build_vocab(corpus: Sequence[str], min_frequency: int = 1, max_size: int = 3
 
 @dataclass
 class TokenSequence:
-    """Fixed-width id sequence: CLS first, then tokens, PAD-filled tail.
+    """One text's ids at the model's full width l_max: CLS first, then
+    tokens, PAD-filled tail.
 
-    mask is true exactly on the leading true_length positions.
+    mask is true exactly on the leading true_length positions. A batch
+    runs at the width of its longest sequence (see stack_sequences).
     """
 
     ids: np.ndarray
@@ -101,12 +103,18 @@ def encode(text: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
 
 
 def stack_sequences(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack equal-width sequences into (ids [B,L], mask [B,L]) arrays."""
+    """Stack equal-width sequences into (ids [B, W], mask [B, W]) arrays.
+
+    W is the longest true_length in the batch. Every position past it is
+    padding in every row, and padding gets exactly zero weight everywhere
+    in the model, so dropping those columns changes no result.
+    """
     if not seqs:
         raise ValueError("stack_sequences: empty batch")
     widths = {len(s.ids) for s in seqs}
     if len(widths) != 1:
         raise ValueError(f"stack_sequences: mixed widths {sorted(widths)}")
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.mask for s in seqs])
+    w = max(s.true_length for s in seqs)
+    ids = np.stack([s.ids[:w] for s in seqs])
+    mask = np.stack([s.mask[:w] for s in seqs])
     return ids, mask

@@ -2,14 +2,19 @@
 
 float32 is the working precision. Construct tensors from float64 arrays
 (or pass dtype=np.float64) for verification runs such as finite-difference
-gradient checks, which are unreliable in 32-bit. Gradients accumulate into
-``Tensor.grad`` across backward() calls until explicitly reset.
+gradient checks, which are unreliable in 32-bit. backward() writes
+``Tensor.grad`` only on leaves, the tensors no operation produced (such as
+parameters); interior nodes keep ``grad is None``. Leaf gradients
+accumulate across backward() calls until explicitly reset. Inside
+``no_grad()`` operations record no graph.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +34,7 @@ class Tensor:
 
     The graph reachable through parents is acyclic by construction: each
     operation creates a fresh node pointing back at its inputs. Repeated
-    backward() calls keep accumulating into ``grad``.
+    backward() calls keep accumulating into a leaf's ``grad``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -62,19 +67,28 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(x) into x.grad for every reachable tensor.
+        """Accumulate d(self)/d(x) into x.grad for every reachable leaf x.
 
-        Requires a scalar value. Uses pass-local buffers for propagation so
-        that calling backward() twice doubles leaf gradients instead of
-        compounding stale interior state.
+        Requires a scalar value. Gradients propagate through pass-local
+        buffers, each dropped once its node's vjp has run, so calling
+        backward() twice doubles leaf gradients and interior nodes keep
+        ``grad is None``. A leaf's first gradient is stored as a copy: a
+        vjp may pass its input buffer, or a view of it, to several
+        operands, and two leaves must not share one array.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         topo = _toposort(self)
         local: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = local.get(id(node))
-            if g is None or node._vjp is None:
+            g = local.pop(id(node), None)
+            if g is None:
+                continue
+            if not node._parents:
+                if node.grad is None:
+                    node.grad = np.array(g, dtype=node.dtype)
+                else:
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
@@ -84,13 +98,6 @@ class Tensor:
                     local[key] = local[key] + pg
                 else:
                     local[key] = pg
-        for node in topo:
-            g = local.get(id(node))
-            if g is None:
-                continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
 
     def __add__(self, other) -> "Tensor":
         return add(self, _as_tensor(other, self.dtype))
@@ -132,9 +139,27 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+_GRAD_ENABLED = contextvars.ContextVar("mtlid_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Within this block operations compute values but record no graph.
+
+    Outputs have no parents and do not require gradients, so nothing of
+    the forward pass is kept alive for a backward() that will not come.
+    The values are the same as with the graph on.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -172,7 +197,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(data, (a, b), vjp)
 
@@ -189,7 +216,9 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
-    Both operands must have rank >= 2 and agreeing inner dimensions.
+    Both operands must have rank >= 2 and agreeing inner dimensions. With
+    a 2-D right operand, as in [B, L, k] @ [k, n], the backward folds the
+    leading axes into rows and runs each gradient as one 2-D product.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
@@ -200,10 +229,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from exc
 
+    flat = b.ndim == 2 and a.ndim > 2
+
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if flat:
+            k, n = b.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(-1, k).T @ g2
+            return ga, gb
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _make(data, (a, b), vjp)
 
@@ -279,6 +321,27 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         return g[..., :p], g[..., p:]
 
     return _make(data, (a, b), vjp)
+
+
+def crop(a: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Leading-corner slice a[:sizes[0], :sizes[1], ...].
+
+    The gradient is zero-padded back to a's shape, so entries outside the
+    corner get exactly zero. Cropping to a's own shape returns a.
+    """
+    sizes = tuple(sizes)
+    if len(sizes) != a.ndim or not all(0 <= s <= n for s, n in zip(sizes, a.shape)):
+        raise ShapeError(f"crop: cannot take a {sizes} corner of {a.shape}")
+    if sizes == a.shape:
+        return a
+    corner = tuple(slice(0, s) for s in sizes)
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[corner] = g
+        return (full,)
+
+    return _make(a.data[corner], (a,), vjp)
 
 
 def select(a: Tensor, index: int, axis: int) -> Tensor:

@@ -7,6 +7,7 @@ on the country task when that head exists, else on the province task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -14,15 +15,20 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
+from .encoder import require_count
 from .model import MtlModel, compute_loss, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
-from .tensor import Adam
+from .tensor import Adam, no_grad
 
 PAPER_PROTOCOL = {"learning_rate": 1e-5, "batch_size": 16, "epochs": 5}
 
 
 class LabelSpaceError(ValueError):
     """Dataset labels do not fit the model's class counts."""
+
+
+class DivergenceError(RuntimeError):
+    """A training step's loss is not finite."""
 
 
 @dataclass
@@ -36,12 +42,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        for name in ("batch_size", "epochs", "eval_every"):
+            require_count(name, getattr(self, name))
 
     @classmethod
     def paper_protocol(cls, **overrides) -> "TrainConfig":
@@ -140,14 +142,18 @@ def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
 def predict_texts(
     model: MtlModel, vocab: Vocabulary, texts: Sequence[str], batch_size: int = 64
 ) -> dict[str, np.ndarray]:
-    """Dropout-off argmax class ids per task head, one per raw text, in order."""
+    """Dropout-off argmax class ids per task head, one per raw text, in order.
+
+    Runs under no_grad: no graph is built.
+    """
     seqs = _encode_texts(texts, vocab, model.config.encoder.l_max)
     preds: dict[str, list[np.ndarray]] = {task: [] for task, _ in model.config.tasks()}
-    for start in range(0, len(seqs), batch_size):
-        logits_c, logits_p = model.forward(seqs[start : start + batch_size], train_mode=False)
-        for task, logits in (("country", logits_c), ("province", logits_p)):
-            if logits is not None:
-                preds[task].append(predict(logits))
+    with no_grad():
+        for start in range(0, len(seqs), batch_size):
+            logits_c, logits_p = model.forward(seqs[start : start + batch_size], train_mode=False)
+            for task, logits in (("country", logits_c), ("province", logits_p)):
+                if logits is not None:
+                    preds[task].append(predict(logits))
     return {
         task: np.concatenate(batches) if batches else np.zeros(0, dtype=np.intp)
         for task, batches in preds.items()
@@ -184,6 +190,8 @@ def train(
 
     The last partial batch still trains. After the final epoch the model's
     parameters are restored to the best dev epoch (when dev was evaluated).
+    Raises DivergenceError, before any update from that step, at the first
+    step whose loss is not finite.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -204,11 +212,15 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[start : start + cfg.batch_size]
             batch = [seqs[i] for i in idx]
             logits_c, logits_p = model.forward(batch, train_mode=True, rng=rng)
             total, report = compute_loss(logits_c, logits_p, labels_c[idx], labels_p[idx], model.config)
+            if not math.isfinite(report.total):
+                raise DivergenceError(
+                    f"training diverged: loss {report.total} at epoch {epoch}, step {step}"
+                )
             total.backward()
             adam.step()
             adam.zero_grad()

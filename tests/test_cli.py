@@ -147,6 +147,10 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         ('{"encoder": {"vocab_size": 2}}', "max_size"),
         # the seed comes from --seed or MTLID_SEED only
         ('{"train": {"seed": 4}}', "'seed'"),
+        # counts are integers, and a sequence holds at least [CLS] and one token
+        ('{"train": {"epochs": 1.5}}', "epochs must be an integer"),
+        ('{"encoder": {"n_layers": 1.5}}', "n_layers must be an integer"),
+        ('{"encoder": {"l_max": 1}}', "l_max must be >= 2"),
     ]
     bad = tmp_path / "bad.json"
     for config, needle in cases:
@@ -164,6 +168,26 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         assert code == 2, config
         assert err.startswith("error: ") and needle in err, (config, err)
         assert not (tmp_path / "o").exists()
+
+
+def test_diverging_run_fails_without_artifacts(corpus, tmp_path, capsys):
+    config = dict(CONFIG, train={"epochs": 3, "batch_size": 8, "learning_rate": 1e9})
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(
+        [
+            "train",
+            "--train", str(corpus["train"]),
+            "--dev", str(corpus["dev"]),
+            "--config", str(cfg_path),
+            "--out", str(out),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.match(r"error: training diverged: loss \S+ at epoch \d+, step \d+", err), err
+    assert not out.exists()
 
 
 def test_inputs_never_mutated(corpus, trained):

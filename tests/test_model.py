@@ -21,7 +21,7 @@ from mtlid.model import (
     save_checkpoint,
 )
 from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, build_vocab
-from mtlid.tensor import Tensor
+from mtlid.tensor import Tensor, no_grad
 
 TOY_ENC = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ff=8, l_max=4, vocab_size=12, dropout_rate=0.0)
 
@@ -58,6 +58,12 @@ def test_forward_deterministic_bitwise():
     b_c, b_p = model.forward(seqs)
     assert np.array_equal(a_c.data, b_c.data)
     assert np.array_equal(a_p.data, b_p.data)
+    # without a graph the values are the same
+    with no_grad():
+        n_c, n_p = model.forward(seqs)
+    assert n_c._parents == () and n_p._parents == ()
+    assert np.array_equal(a_c.data, n_c.data)
+    assert np.array_equal(a_p.data, n_p.data)
 
 
 def test_single_task_modes_have_one_head():

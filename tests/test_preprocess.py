@@ -164,7 +164,11 @@ def test_encode_mask_is_prefix(small_vocab):
 
 
 def test_stack_sequences_shapes(small_vocab):
+    # the batch runs at its longest true_length: [CLS] b b is 3 wide
     seqs = [encode("a", small_vocab, 4), encode("b b", small_vocab, 4)]
     ids, mask = stack_sequences(seqs)
-    assert ids.shape == (2, 4) and mask.shape == (2, 4)
+    assert ids.shape == (2, 3) and mask.shape == (2, 3)
     assert ids.dtype == np.int64 and mask.dtype == np.bool_
+    # one sequence that fills l_max makes the batch l_max wide
+    ids, mask = stack_sequences(seqs + [encode("a b a b", small_vocab, 4)])
+    assert ids.shape == (3, 4) and mask.shape == (3, 4)

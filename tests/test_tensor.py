@@ -13,6 +13,7 @@ from mtlid.tensor import (
     Tensor,
     add,
     concat_last,
+    crop,
     cross_entropy_from_logits,
     dropout,
     embedding,
@@ -21,6 +22,7 @@ from mtlid.tensor import (
     matmul,
     mul,
     name_seeded_rng,
+    no_grad,
     reshape,
     scale,
     select,
@@ -238,6 +240,43 @@ def test_backward_accumulates_without_reset():
     np.testing.assert_array_equal(w.grad, 2 * np.ones(3))
 
 
+def test_backward_writes_grad_only_on_leaves():
+    w = t64(np.ones((2, 3)), requires_grad=True)
+    x = t64(np.arange(6.0).reshape(3, 2))
+    hidden = tanh(matmul(w, x))
+    loss = sum_all(mul(hidden, hidden))
+    loss.backward()
+    assert w.grad is not None and w.grad.shape == w.shape
+    for node in (hidden, loss):
+        assert node.grad is None
+    assert x.grad is None  # a leaf that needs no gradient gets none
+
+
+def test_leaves_fed_by_one_add_own_their_gradients():
+    # add's backward hands the same buffer to both operands
+    a = t64(np.ones(3), requires_grad=True)
+    b = t64(np.ones(3), requires_grad=True)
+    loss = sum_all(add(a, b))
+    loss.backward()
+    a.grad += 5.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 7.0))
+    np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
+
+
+def test_no_grad_records_no_graph():
+    w = t64(np.ones((2, 2)), requires_grad=True)
+    x = t64(np.arange(4.0).reshape(2, 2))
+    graph = tanh(matmul(x, w))
+    with no_grad():
+        free = tanh(matmul(x, w))
+    assert free._parents == () and not free.requires_grad
+    assert np.array_equal(free.data, graph.data)
+    # the graph records again once the block exits
+    assert matmul(x, w).requires_grad
+
+
 def test_graph_evaluation_deterministic():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
@@ -338,7 +377,9 @@ def test_grad_matmul_2d():
 
 
 def test_grad_matmul_batched_with_unbatched():
-    _check(lambda ps: _weighted_sum(matmul(ps[0], ps[1])), [(2, 1, 5), (5, 5)], 4)
+    # a 2-D right operand takes the folded 2-D backward
+    for shapes in ([(2, 1, 5), (5, 5)], [(3, 4, 5), (5, 2)], [(2, 3, 4, 5), (5, 3)]):
+        _check(lambda ps: _weighted_sum(matmul(ps[0], ps[1])), shapes, 4)
 
 
 def test_grad_tanh():
@@ -394,6 +435,25 @@ def test_grad_cross_entropy():
 
 def test_grad_sum_all():
     _check(lambda ps: sum_all(mul(ps[0], ps[0])), [(3, 3)], 15)
+
+
+def test_grad_crop():
+    _check(lambda ps: _weighted_sum(crop(ps[0], (2, 3))), [(4, 5)], 16)
+    _check(lambda ps: _weighted_sum(crop(ps[0], (1, 3, 2))), [(2, 3, 4)], 17)
+
+
+def test_crop_corner_and_zero_padded_gradient():
+    a = t64(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    out = crop(a, (2, 2))
+    np.testing.assert_array_equal(out.data, [[0.0, 1.0], [4.0, 5.0]])
+    sum_all(out).backward()
+    expected = np.zeros((3, 4))
+    expected[:2, :2] = 1.0
+    np.testing.assert_array_equal(a.grad, expected)
+    assert crop(a, (3, 4)) is a
+    for bad in ((4, 4), (2,), (2, -1)):
+        with pytest.raises(ShapeError):
+            crop(a, bad)
 
 
 def test_dropout_grad_matches_mask():
