@@ -1,7 +1,8 @@
 """Dataset ingestion, label statistics, and a synthetic hierarchical corpus.
 
 The TSV schema is: columns id, text, country, province; an optional header
-is detected by a first cell equal to "id". Label ids are assigned by
+is detected by a first cell equal to "id". Files are UTF-8, with or
+without a byte-order mark. Label ids are assigned by
 lexicographic order of the label strings, so ids are stable across
 shuffled files. The synthetic generator plants country-level signal
 tokens shared by all of a country's provinces, plus rarer
@@ -45,7 +46,14 @@ class Dataset:
 
 
 def _parse_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    raw = Path(path).read_text(encoding="utf-8")
+    """Non-empty lines split on tabs, numbered from 1, header dropped.
+
+    The file must be UTF-8; a leading byte-order mark is skipped.
+    """
+    try:
+        raw = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if line == "":

@@ -69,6 +69,7 @@ class EncoderConfig:
 class EncoderOutput:
     h: Tensor  # [B, W, d_model] contextual embeddings; W is the batch's longest true_length
     pooled: Tensor  # [B, d_model] tanh pooler over position 0
+    mask: np.ndarray  # [B, W] bool, true at real tokens; the batch's stacked mask
 
 
 def param_specs(cfg: EncoderConfig, prefix: str = "encoder") -> list[tuple[str, tuple[int, ...], str]]:
@@ -108,13 +109,17 @@ def init_encoder_params(
     return init_parameters(param_specs(cfg, prefix), global_seed, dtype)
 
 
-def embed(seqs: Sequence[TokenSequence], params: dict[str, Tensor], prefix: str = "encoder") -> Tensor:
+def embed(
+    ids: np.ndarray | Sequence[TokenSequence], params: dict[str, Tensor], prefix: str = "encoder"
+) -> Tensor:
     """Token embedding plus learned positional embedding, [B, W, d].
 
-    W is the batch width from stack_sequences; the positional table's
-    first W rows are used.
+    ids is the batch's [B, W] id array from stack_sequences; the
+    positional table's first W rows are used. A list of TokenSequence is
+    stacked here first.
     """
-    ids, _ = stack_sequences(seqs)
+    if not isinstance(ids, np.ndarray):
+        ids, _ = stack_sequences(ids)
     tok = embedding(params[f"{prefix}.tok_emb"], ids)
     pos = params[f"{prefix}.pos_emb"]
     return add(tok, crop(pos, (ids.shape[1], pos.shape[1])))
@@ -161,8 +166,11 @@ def encode_batch(
     rng: np.random.Generator | None = None,
     prefix: str = "encoder",
 ) -> EncoderOutput:
-    """Run the full encoder stack; dropout fires only in train mode."""
-    _, mask = stack_sequences(seqs)
+    """Run the full encoder stack; dropout fires only in train mode.
+
+    The batch is stacked once here; its mask travels on in the output.
+    """
+    ids, mask = stack_sequences(seqs)
     use_dropout = train_mode and cfg.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("encode_batch: train-mode dropout needs an rng")
@@ -170,7 +178,7 @@ def encode_batch(
     def drop(t: Tensor) -> Tensor:
         return dropout(t, cfg.dropout_rate, rng) if use_dropout else t
 
-    x = drop(embed(seqs, params, prefix))
+    x = drop(embed(ids, params, prefix))
     for i in range(cfg.n_layers):
         layer = f"{prefix}.layer{i}"
         attn_out, _ = multi_head_attention(x, mask, params, layer, cfg.n_heads)
@@ -179,4 +187,4 @@ def encode_batch(
         x = layer_norm(add(x, drop(ff_out)), params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
     first = select(x, 0, axis=1)
     pooled = tanh(add(matmul(first, params[f"{prefix}.pooler.w"]), params[f"{prefix}.pooler.b"]))
-    return EncoderOutput(h=x, pooled=pooled)
+    return EncoderOutput(h=x, pooled=pooled, mask=mask)

@@ -9,6 +9,7 @@ vocabularies, and the token vocabulary so a saved model is self-contained.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 from . import attnpool, encoder
 from .attnpool import task_attention
 from .encoder import EncoderConfig, encode_batch
-from .preprocess import RESERVED_TOKENS, TokenSequence, Vocabulary, stack_sequences
+from .preprocess import RESERVED_TOKENS, TokenSequence, Vocabulary
 from .tensor import (
     Tensor,
     add,
@@ -135,11 +136,10 @@ class MtlModel:
     ) -> tuple[Tensor | None, Tensor | None]:
         """Return (country logits, province logits); absent heads yield None."""
         enc = encode_batch(seqs, self.params, self.config.encoder, train_mode, rng)
-        _, mask = stack_sequences(seqs)
         logits: dict[str, Tensor] = {}
         for task, _ in self.config.tasks():
             att = task_attention(
-                enc.h, mask, self.params[f"{task}_attn.w_a"], self.params[f"{task}_attn.w_alpha"]
+                enc.h, enc.mask, self.params[f"{task}_attn.w_a"], self.params[f"{task}_attn.w_alpha"]
             )
             z = concat_last(enc.pooled, att.v)
             hidden = tanh(add(matmul(z, self.params[f"{task}_cls.w1"]), self.params[f"{task}_cls.b1"]))
@@ -251,25 +251,30 @@ def save_checkpoint(
         raise
 
 
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+def _read_exact(f, n: int, size: int) -> bytes:
+    """n bytes from f, a file of size bytes; when fewer remain, raise before reading."""
+    if n > size - f.tell():
         raise CheckpointError("checkpoint truncated")
-    return buf
+    return f.read(n)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Rebuild a model; any corruption or shape mismatch raises CheckpointError."""
+    """Rebuild a model; any corruption or shape mismatch raises CheckpointError.
+
+    Each parameter's name and shape are checked against the config before
+    its payload is read, so no read exceeds what the config expects.
+    """
     with open(path, "rb") as f:
-        if _read_exact(f, 4) != CHECKPOINT_MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        if _read_exact(f, 4, size) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(f, 2))
+        (version,) = struct.unpack("<H", _read_exact(f, 2, size))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (doc_len,) = struct.unpack("<I", _read_exact(f, 4))
+        (doc_len,) = struct.unpack("<I", _read_exact(f, 4, size))
         try:
-            doc = json.loads(_read_exact(f, doc_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = json.loads(_read_exact(f, doc_len, size).decode("utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
             raise CheckpointError("corrupt config document") from exc
         try:
             m = doc["model"]
@@ -279,6 +284,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             tokens = list(doc["vocab"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"invalid config document: {exc}") from exc
+        if not all(isinstance(entry, str) for entry in country_labels + province_labels + tokens):
+            raise CheckpointError("labels and vocabulary entries must be strings")
         if tuple(tokens[:3]) != RESERVED_TOKENS:
             raise CheckpointError("vocabulary must start with the reserved tokens")
         if len(tokens) != config.encoder.vocab_size:
@@ -286,24 +293,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"vocabulary size {len(tokens)} does not match config {config.encoder.vocab_size}"
             )
         params: dict[str, Tensor] = {}
-        expected = {name: shape for name, shape, _ in param_specs(config)}
+        expected = {name.encode("utf-8"): (name, shape) for name, shape, _ in param_specs(config)}
         for _ in range(len(expected)):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4").reshape(shape)
-            if name not in expected:
-                raise CheckpointError(f"unexpected parameter {name!r}")
-            if tuple(shape) != expected[name]:
-                raise CheckpointError(
-                    f"parameter {name!r} has shape {tuple(shape)}, config expects {expected[name]}"
-                )
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, size))
+            name_b = _read_exact(f, name_len, size)
+            if name_b not in expected:
+                raise CheckpointError(f"unexpected parameter {name_b.decode('utf-8', 'replace')!r}")
+            name, shape = expected[name_b]
+            (ndim,) = struct.unpack("<B", _read_exact(f, 1, size))
+            stored = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, size))
+            if stored != shape:
+                raise CheckpointError(f"parameter {name!r} has shape {stored}, config expects {shape}")
+            count = math.prod(shape)
+            data = np.frombuffer(_read_exact(f, 4 * count, size), dtype="<f4").reshape(shape)
             params[name] = Tensor(data.astype(np.float32), requires_grad=True)
         if f.read(1):
             raise CheckpointError("trailing bytes after last parameter")
-    if set(params) != set(expected):
+    if len(params) != len(expected):
         raise CheckpointError("checkpoint is missing parameters")
     vocab = Vocabulary(
         token_to_id={tok: i + 3 for i, tok in enumerate(tokens[3:])},

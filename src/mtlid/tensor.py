@@ -140,6 +140,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 _GRAD_ENABLED = contextvars.ContextVar("mtlid_grad_enabled", default=True)
+_new_tensor = Tensor.__new__
 
 
 @contextlib.contextmanager
@@ -158,11 +159,30 @@ def no_grad() -> Iterator[None]:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data)
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    """An operation's output node, built without Tensor.__init__.
+
+    Every primitive computes data as a float array of its inputs' dtype,
+    so the node takes it as is. Only a 0-d result, which numpy ufuncs
+    return as a scalar, is wrapped back into an array. The node records
+    its parents only when one of them requires a gradient and no_grad()
+    is not active.
+    """
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    out = _new_tensor(Tensor)
+    out.data = data
+    out.grad = None
+    for p in parents:
+        if p.requires_grad:
+            if _GRAD_ENABLED.get():
+                out.requires_grad = True
+                out._parents = parents
+                out._vjp = vjp
+                return out
+            break
+    out.requires_grad = False
+    out._parents = ()
+    out._vjp = None
     return out
 
 
@@ -297,10 +317,12 @@ def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
     per row. Max-subtraction keeps the exponentials in range. Raises
     DegenerateMaskError when a row has no unmasked position.
     """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+    m = np.asarray(mask, dtype=bool)
     if not m.any(axis=-1).all():
         raise DegenerateMaskError("softmax_masked: a row has every position masked")
     kept = np.where(m, scores.data, -np.inf)
+    if kept.shape != scores.shape:
+        raise ShapeError(f"softmax_masked: mask {m.shape} does not broadcast to scores {scores.shape}")
     e = np.exp(kept - kept.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -371,7 +393,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def vjp(g):
         return (np.transpose(g, inverse),)
@@ -397,10 +419,15 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    """Normalize over the last axis, then apply elementwise gain and bias.
+
+    Each mean is a sum divided by the count, which is what numpy's mean
+    computes, without its Python-level wrapper.
+    """
+    n = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     y = xhat * gain.data + bias.data
@@ -412,8 +439,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gt = g * gain.data
         gx = inv * (
             gt
-            - gt.mean(axis=-1, keepdims=True)
-            - xhat * (gt * xhat).mean(axis=-1, keepdims=True)
+            - gt.sum(axis=-1, keepdims=True) / n
+            - xhat * ((gt * xhat).sum(axis=-1, keepdims=True) / n)
         )
         return gx, g_gain, g_bias
 
@@ -529,8 +556,22 @@ def init_parameters(
     return params
 
 
+class NonFiniteGradientError(FloatingPointError):
+    """A parameter's gradient holds inf or nan; the step changed nothing."""
+
+    def __init__(self, name: str):
+        super().__init__(f"non-finite gradient in {name!r}")
+        self.name = name
+
+
 class Adam:
-    """Bias-corrected Adam over a dict of named parameters, updated in place."""
+    """Bias-corrected Adam over a dict of named parameters, updated in place.
+
+    The first and second moments m and v are one flat buffer each, holding
+    the parameters back to back in registration order, so a step runs each
+    elementwise operation once over all parameters. All parameters must
+    share one dtype.
+    """
 
     def __init__(
         self,
@@ -547,32 +588,58 @@ class Adam:
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         self.params = dict(params)
+        if not self.params:
+            raise ValueError("Adam needs at least one parameter")
+        dtypes = {p.dtype for p in self.params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam: parameters mix dtypes {sorted(str(d) for d in dtypes)}")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
+        self._spans = list(zip(bounds[:-1], bounds[1:]))
+        self.m = np.zeros(bounds[-1], dtype=dtypes.pop())
+        self.v = np.zeros_like(self.m)
         self.step_count = 0
 
     def step(self) -> None:
-        """Apply one update; every registered parameter must hold a gradient."""
+        """Apply one update; every registered parameter must hold a gradient.
+
+        Raises NonFiniteGradientError, before any state changes, when a
+        gradient holds inf or nan.
+        """
+        grads = []
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient")
+            grads.append(p.grad.ravel())
+        g = np.concatenate(grads)
+        if not np.isfinite(g).all():
+            name = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise NonFiniteGradientError(name)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        m, v = self.m, self.v
+        # The same elementwise operations, in the same order, as an update
+        # of each parameter on its own; g is reused as scratch once read.
+        update = (1.0 - self.beta1) * g
+        m *= self.beta1
+        m += update
+        v *= self.beta2
+        g *= g
+        g *= 1.0 - self.beta2
+        v += g
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += self.epsilon
+        np.divide(m, bc1, out=update)
+        update *= self.learning_rate
+        update /= g
+        for p, (lo, hi) in zip(self.params.values(), self._spans):
+            p.data -= update[lo:hi].reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -18,7 +18,7 @@ from .data import Dataset
 from .encoder import require_count
 from .model import MtlModel, compute_loss, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
-from .tensor import Adam, no_grad
+from .tensor import Adam, NonFiniteGradientError, no_grad
 
 PAPER_PROTOCOL = {"learning_rate": 1e-5, "batch_size": 16, "epochs": 5}
 
@@ -28,7 +28,7 @@ class LabelSpaceError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A training step's loss is not finite."""
+    """A training step's loss or a parameter's gradient is not finite."""
 
 
 @dataclass
@@ -191,7 +191,7 @@ def train(
     The last partial batch still trains. After the final epoch the model's
     parameters are restored to the best dev epoch (when dev was evaluated).
     Raises DivergenceError, before any update from that step, at the first
-    step whose loss is not finite.
+    step whose loss or whose gradient is not finite.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -222,7 +222,12 @@ def train(
                     f"training diverged: loss {report.total} at epoch {epoch}, step {step}"
                 )
             total.backward()
-            adam.step()
+            try:
+                adam.step()
+            except NonFiniteGradientError as exc:
+                raise DivergenceError(
+                    f"training diverged: loss {report.total} at epoch {epoch}, step {step} ({exc})"
+                ) from exc
             adam.zero_grad()
             loss_sum += report.total * len(idx)
         record = EpochRecord(epoch=epoch, train_loss=loss_sum / n)

@@ -190,6 +190,24 @@ def test_diverging_run_fails_without_artifacts(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_training_data_is_exit_2(corpus, tmp_path, capsys):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes(corpus["train"].read_bytes() + "x999\tcaf\u00e9\tc00\tc00p00\n".encode("latin-1"))
+    code = main(
+        [
+            "train",
+            "--train", str(bad),
+            "--dev", str(corpus["dev"]),
+            "--config", str(corpus["config"]),
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "latin1.tsv: not UTF-8" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_inputs_never_mutated(corpus, trained):
     before = {name: sha(corpus[name]) for name in ("train", "dev", "config")}
     main(["eval", "--model", str(trained / "model.ckpt"), "--data", str(corpus["dev"])])

@@ -75,6 +75,33 @@ def test_load_tsv_empty_file_rejected(tmp_path):
         load_tsv(path)
 
 
+def test_load_tsv_and_load_texts_skip_a_byte_order_mark(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_bytes("id\ttext\tcountry\tprovince\nx1\thello\tEgypt\tCairo\n".encode("utf-8-sig"))
+    ds = load_tsv(path)
+    assert [ex.id for ex in ds.examples] == ["x1"]
+    assert ds.country_labels == ["Egypt"] and ds.province_labels == ["Cairo"]
+    path.write_bytes("x1\thello\nx2\tbye\n".encode("utf-8-sig"))
+    assert load_texts(path) == [("x1", "hello"), ("x2", "bye")]
+
+
+def test_load_tsv_and_load_texts_accept_crlf(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_bytes(b"id\ttext\tcountry\tprovince\r\nx1\thello\tEgypt\tCairo\r\nx2\tbye\tIraq\tBasra\r\n")
+    ds = load_tsv(path)
+    assert [ex.text for ex in ds.examples] == ["hello", "bye"]
+    assert ds.province_labels == ["Basra", "Cairo"]
+    assert load_texts(path) == [("x1", "hello"), ("x2", "bye")]
+
+
+def test_non_utf8_file_is_a_data_error_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("x1\tcaf\u00e9\tEgypt\tCairo\n".encode("latin-1"))
+    for load in (load_tsv, load_texts):
+        with pytest.raises(DataError, match="latin1.tsv: not UTF-8"):
+            load(path)
+
+
 def test_load_tsv_flags_empty_after_cleaning(tmp_path):
     path = tmp_path / "d.tsv"
     path.write_text("x1\tًٌ\tEgypt\tCairo\nx2\tok\tEgypt\tCairo\n", encoding="utf-8")

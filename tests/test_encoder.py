@@ -12,7 +12,7 @@ from mtlid.encoder import (
     multi_head_attention,
     param_specs,
 )
-from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence
+from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, stack_sequences
 from mtlid.tensor import sum_all
 
 TOY = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.0)
@@ -46,7 +46,7 @@ def test_config_validation():
 def test_embed_identical_sequences_identical_rows(toy_params):
     rng = np.random.default_rng(0)
     seq = make_seq(rng, 8, 5)
-    out = embed([seq, seq], toy_params)
+    out = embed(stack_sequences([seq, seq])[0], toy_params)
     assert np.array_equal(out.data[0], out.data[1])
 
 
@@ -56,7 +56,7 @@ def test_embed_position_changes_same_token(toy_params):
     mask = np.zeros(8, dtype=bool)
     mask[:2] = True
     seq = TokenSequence(ids, mask, 2)
-    out = embed([seq], toy_params).data[0]
+    out = embed(stack_sequences([seq])[0], toy_params).data[0]
     assert not np.array_equal(out[0], out[1])  # positional rows differ
 
 
@@ -65,13 +65,13 @@ def test_embed_rejects_out_of_range_id(toy_params):
     ids[0] = 25  # >= vocab_size
     seq = TokenSequence(ids, np.ones(8, dtype=bool), 8)
     with pytest.raises(ValueError, match="out of range"):
-        embed([seq], toy_params)
+        embed(stack_sequences([seq])[0], toy_params)
 
 
 def test_embed_gradient_counts_token_occurrences(toy_params):
     rng = np.random.default_rng(1)
     seq = make_seq(rng, 8, 8)
-    sum_all(embed([seq, seq], toy_params)).backward()
+    sum_all(embed(stack_sequences([seq, seq])[0], toy_params)).backward()
     table = toy_params["encoder.tok_emb"]
     counts = np.bincount(np.concatenate([seq.ids, seq.ids]), minlength=20)
     for token_id in range(20):
@@ -79,7 +79,7 @@ def test_embed_gradient_counts_token_occurrences(toy_params):
     # finite-difference spot check on a used row
     check = np.random.default_rng(2)
     err = max_grad_error(
-        lambda: sum_all(embed([seq, seq], toy_params)).item(), table, check, n_samples=30, h=1e-5, atol=1e-10
+        lambda: sum_all(embed(stack_sequences([seq, seq])[0], toy_params)).item(), table, check, n_samples=30, h=1e-5, atol=1e-10
     )
     assert err < 1e-5
 
@@ -130,7 +130,7 @@ def test_padding_invariance_across_widths():
 def test_attention_rows_sum_to_one(toy_params):
     rng = np.random.default_rng(7)
     seqs = [make_seq(rng, 8, 5), make_seq(rng, 8, 8)]
-    x = embed(seqs, toy_params)
+    x = embed(stack_sequences(seqs)[0], toy_params)
     _, mask = np.stack([s.ids for s in seqs]), np.stack([s.mask for s in seqs])
     _, att = multi_head_attention(x, mask, toy_params, "encoder.layer0", TOY.n_heads)
     sums = att.data.sum(axis=-1)

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtlid import model as model_mod
 from mtlid.encoder import EncoderConfig
@@ -306,6 +307,52 @@ def test_checkpoint_truncated_file_rejected(saved):
         path.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _flip(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def test_checkpoint_truncation_or_bit_flip_loads_or_raises_checkpoint_error(saved):
+    path, model, *_ = saved
+    blob = path.read_bytes()
+    corrupt = path.with_name("corrupt.ckpt")
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.integers(0, len(blob) - 1).map(lambda cut: blob[:cut]),
+            st.integers(0, 8 * len(blob) - 1).map(lambda bit: _flip(blob, bit)),
+        )
+    )
+    def loads_or_raises_checkpoint_error(data):
+        corrupt.write_bytes(data)
+        try:
+            load_checkpoint(corrupt)
+        except CheckpointError:
+            pass
+
+    loads_or_raises_checkpoint_error()
+    # There is no checksum: a flip inside a float payload loads.
+    last = model.params[max(model.params)].data
+    for bit in range(8 * (len(blob) - 4 * last.size), 8 * len(blob), 7):
+        corrupt.write_bytes(_flip(blob, bit))
+        load_checkpoint(corrupt)
+
+
+def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved):
+    path, *_ = saved
+    blob = bytearray(path.read_bytes())
+    (doc_len,) = struct.unpack("<I", blob[6:10])
+    first = 10 + doc_len
+    (name_len,) = struct.unpack("<I", blob[first : first + 4])
+    dims = first + 4 + name_len + 1
+    blob[dims : dims + 4] = struct.pack("<I", 2**31)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_rejected(saved):

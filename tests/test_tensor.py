@@ -1,5 +1,6 @@
 """Tensor-core contracts: op semantics, gradients, and the Adam update."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gradcheck import max_grad_error
 from mtlid.tensor import (
     Adam,
     DegenerateMaskError,
+    NonFiniteGradientError,
     ShapeError,
     Tensor,
     add,
@@ -136,6 +138,41 @@ def test_softmax_masked_random_rows_sum_to_one():
         sums = out.data.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         assert np.all(out.data[~np.broadcast_to(mask, out.shape)] == 0.0)
+
+
+def _softmax_masked_reference(scores, mask):
+    """The mask broadcast to the scores' shape before the check and the where."""
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+    if not m.any(axis=-1).all():
+        raise DegenerateMaskError("reference: a row has every position masked")
+    kept = np.where(m, scores, -np.inf)
+    e = np.exp(kept - kept.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_masked_unbroadcast_mask_matches_broadcast_reference(dtype):
+    rng = np.random.default_rng(12)
+    b, heads, n = 3, 2, 5
+    mask = rng.random((b, n)) < 0.6
+    mask[:, 0] = True
+    attn = rng.normal(size=(b, heads, n, n)).astype(dtype)
+    pool = rng.normal(size=(b, 1, n)).astype(dtype)
+    for scores, m in ((attn, mask[:, None, None, :]), (pool, mask[:, None, :]), (pool[:, 0], mask)):
+        out = softmax_masked(Tensor(scores), m)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, _softmax_masked_reference(scores, m))
+    mask[1] = False
+    for scores, m in ((attn, mask[:, None, None, :]), (pool[:, 0], mask)):
+        with pytest.raises(DegenerateMaskError):
+            _softmax_masked_reference(scores, m)
+        with pytest.raises(DegenerateMaskError):
+            softmax_masked(Tensor(scores), m)
+
+
+def test_softmax_masked_rejects_mask_wider_than_scores():
+    with pytest.raises(ShapeError, match="broadcast"):
+        softmax_masked(Tensor(np.zeros((1, 3))), np.ones((2, 3), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +372,77 @@ def test_adam_two_runs_bitwise_identical():
     assert np.array_equal(run(), run())
 
 
+def _adam_reference(params, grads_per_step, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    """The update of each parameter on its own, with its own m and v."""
+    data = {name: arr.copy() for name, arr in params.items()}
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        for name, g in grads.items():
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * (g * g)
+            data[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_matches_per_parameter_update_bitwise(dtype):
+    rng = np.random.default_rng(21)
+    shapes = {"w": (4, 3), "b": (3,), "table": (7, 2), "gain": (1,)}
+    start = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+    grads_per_step = [
+        {name: (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)).astype(dtype) for name, shape in shapes.items()}
+        for _ in range(5)
+    ]
+    params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in start.items()}
+    opt = Adam(params, learning_rate=0.01)
+    for grads in grads_per_step:
+        for name, g in grads.items():
+            params[name].grad = g.copy()
+        opt.step()
+        opt.zero_grad()
+    expected = _adam_reference(start, grads_per_step)
+    for name, p in params.items():
+        assert p.data.dtype == dtype and p.data.shape == shapes[name]
+        assert np.array_equal(p.data, expected[name]), name
+
+
+def test_adam_rejects_mixed_dtypes():
+    params = {
+        "a": Tensor(np.ones(2, dtype=np.float32), requires_grad=True),
+        "b": Tensor(np.ones(2, dtype=np.float64), requires_grad=True),
+    }
+    with pytest.raises(ValueError, match="mix dtypes"):
+        Adam(params)
+
+
+def test_adam_non_finite_gradient_changes_nothing():
+    params = {
+        "a": Tensor(np.ones(3, dtype=np.float32), requires_grad=True),
+        "b": Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True),
+    }
+    opt = Adam(params, learning_rate=0.1)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    before = {name: p.data.copy() for name, p in params.items()}
+    m, v = opt.m.copy(), opt.v.copy()
+    for bad in (np.inf, -np.inf, np.nan):
+        params["a"].grad = np.ones(3, dtype=np.float32)
+        params["b"].grad = np.array([[1.0, bad], [1.0, 1.0]], dtype=np.float32)
+        with pytest.raises(NonFiniteGradientError, match="'b'") as info:
+            opt.step()
+        assert info.value.name == "b"
+        assert opt.step_count == 1
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name])
+
+
 # ---------------------------------------------------------------------------
 # gradient checks for every primitive op (64-bit)
 # ---------------------------------------------------------------------------
@@ -471,6 +579,88 @@ def test_dropout_deterministic_under_seeded_rng():
     a = dropout(x, 0.3, np.random.default_rng(42)).data
     b = dropout(x, 0.3, np.random.default_rng(42)).data
     assert np.array_equal(a, b)
+
+
+def test_transpose_inverse_matches_argsort_for_every_permutation():
+    x = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
+    for axes in itertools.permutations(range(4)):
+        a = t64(x, requires_grad=True)
+        out = transpose(a, axes)
+        assert np.array_equal(out.data, np.transpose(x, axes))
+        g = np.arange(out.data.size, dtype=np.float64).reshape(out.shape)
+        (ga,) = out._vjp(g)
+        assert np.array_equal(ga, np.transpose(g, np.argsort(axes)))
+
+
+def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
+    """Forward value and input/gain/bias gradients with numpy's mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    y = xhat * gain + bias
+    lead = tuple(range(g.ndim - 1))
+    gt = g * gain
+    gx = inv * (gt - gt.mean(axis=-1, keepdims=True) - xhat * (gt * xhat).mean(axis=-1, keepdims=True))
+    return y, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 64), (2, 3, 33)])
+def test_layer_norm_matches_mean_based_reference_bitwise(dtype, shape):
+    rng = np.random.default_rng(31)
+    x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+    gain = rng.normal(size=shape[-1]).astype(dtype)
+    bias = rng.normal(size=shape[-1]).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    out = layer_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True))
+    y, gx, g_gain, g_bias = _layer_norm_reference(x, gain, bias, g)
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, y)
+    for got, want in zip(out._vjp(g), (gx, g_gain, g_bias)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
+    rng = np.random.default_rng(41)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    mask = np.array([[True, False, True], [True, True, False]])
+    outs = {
+        "add": add(t(2, 3), t(3)),
+        "add_0d": add(sum_all(t(2)), sum_all(t(2))),
+        "mul": mul(t(2, 3), t(2, 3)),
+        "scale": scale(t(2, 3), 0.5),
+        "scale_0d": scale(sum_all(t(2)), 0.5),
+        "matmul": matmul(t(2, 3), t(3, 4)),
+        "tanh": tanh(t(2, 3)),
+        "tanh_0d": tanh(sum_all(t(2))),
+        "gelu": gelu(t(2, 3)),
+        "softmax": softmax(t(2, 3)),
+        "softmax_masked": softmax_masked(t(2, 3), mask),
+        "concat_last": concat_last(t(2, 3), t(2, 1)),
+        "crop": crop(t(4, 3), (2, 3)),
+        "select": select(t(2, 3), 1, axis=0),
+        "select_1d": select(t(3), 1, axis=0),
+        "reshape": reshape(t(2, 3), (3, 2)),
+        "transpose": transpose(t(2, 3), (1, 0)),
+        "embedding": embedding(t(5, 3), np.array([[0, 4], [2, 2]])),
+        "layer_norm": layer_norm(t(2, 3), t(3), t(3)),
+        "dropout": dropout(t(2, 3), 0.5, np.random.default_rng(0)),
+        "sum_all": sum_all(t(2, 3)),
+        "cross_entropy": cross_entropy_from_logits(t(2, 3), np.array([0, 2])),
+    }
+    for name, out in outs.items():
+        assert type(out.data) is np.ndarray, name
+        assert out.data.dtype == dtype, name
+        assert out.requires_grad and out.grad is None, name
+    with no_grad():
+        out = add(t(2), t(2))
+    assert type(out.data) is np.ndarray and not out.requires_grad and out._parents == ()
 
 
 # ---------------------------------------------------------------------------

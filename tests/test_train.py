@@ -1,5 +1,7 @@
 """Metrics oracles, training-loop determinism, and report file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mtlid.encoder import EncoderConfig
 from mtlid.model import MtlModel, ModelConfig
 from mtlid.preprocess import build_vocab, clean_text
 from mtlid.train import (
+    DivergenceError,
     EpochRecord,
     LabelSpaceError,
     MetricsReport,
@@ -217,6 +220,20 @@ def test_train_rejects_label_space_mismatch():
     )
     with pytest.raises(LabelSpaceError):
         train(model, bad, dev_ds, vocab, TrainConfig(epochs=1))
+
+
+def test_non_finite_gradient_under_finite_loss_stops_before_the_update():
+    # At learning rate 1e9 a step comes whose loss is still finite but whose
+    # gradient overflows; applying it would leave inf/nan in the parameters.
+    train_ds, _, vocab, config = tiny_setup()
+    model = MtlModel(config, global_seed=0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        train(model, train_ds, None, vocab, TrainConfig(epochs=3, batch_size=8, learning_rate=1e9))
+    assert re.fullmatch(
+        r"training diverged: loss \S+ at epoch \d+, step \d+ \(non-finite gradient in '[\w.]+'\)",
+        str(info.value),
+    ), str(info.value)
+    assert all(np.isfinite(p.data).all() for p in model.params.values())
 
 
 def test_partial_last_batch_still_trains():
