@@ -19,7 +19,6 @@ from .preprocess import TokenSequence, Vocabulary
 from .tensor import (
     Tensor,
     crop,
-    init_parameters,
     matmul,
     mul,
     reshape,
@@ -41,12 +40,6 @@ def param_specs(d_model: int, l_max: int, task: str) -> list[tuple[str, tuple[in
         (f"{task}_attn.w_a", (d_model, 1), "normal"),
         (f"{task}_attn.w_alpha", (l_max, l_max), "normal"),
     ]
-
-
-def init_task_attention_params(
-    d_model: int, l_max: int, task: str, global_seed: int, dtype=np.float32
-) -> dict[str, Tensor]:
-    return init_parameters(param_specs(d_model, l_max, task), global_seed, dtype)
 
 
 def task_attention(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) -> TaskAttentionOutput:

@@ -202,17 +202,7 @@ def cmd_distribution(args) -> int:
 def cmd_synth(args) -> int:
     started = time.monotonic()
     try:
-        config = SynthConfig(
-            n_countries=args.countries,
-            provinces_per_country=args.provinces_per_country,
-            examples_per_province=args.examples_per_province,
-            shared_vocab_size=args.shared_vocab_size,
-            country_signal_tokens=args.country_signal_tokens,
-            province_signal_tokens=args.province_signal_tokens,
-            signal_strength=args.signal_strength,
-            seed=args.seed if args.seed is not None else 0,
-            tokens_per_example=args.tokens_per_example,
-        )
+        config = SynthConfig(**{name: getattr(args, name) for name in _settings(SynthConfig)})
     except ValueError as exc:
         raise UsageError(f"invalid synthesis settings: {exc}") from exc
     splits = synth_generate(config)
@@ -278,15 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=cmd_distribution)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic hierarchical corpus")
-    p_synth.add_argument("--countries", type=int, default=6)
-    p_synth.add_argument("--provinces-per-country", type=int, default=3)
-    p_synth.add_argument("--examples-per-province", type=int, default=200)
-    p_synth.add_argument("--shared-vocab-size", type=int, default=200)
-    p_synth.add_argument("--country-signal-tokens", type=int, default=8)
-    p_synth.add_argument("--province-signal-tokens", type=int, default=4)
-    p_synth.add_argument("--signal-strength", type=float, default=0.3)
-    p_synth.add_argument("--tokens-per-example", type=int, default=12)
-    p_synth.add_argument("--seed", type=int, default=None)
+    for name in _settings(SynthConfig):
+        default = getattr(SynthConfig, name)
+        p_synth.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
     return parser

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .encoder import require_count
 from .preprocess import clean_text
 
 
@@ -153,8 +154,7 @@ class SynthConfig:
             "province_signal_tokens",
             "tokens_per_example",
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            require_count(name, getattr(self, name))
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ValueError("signal_strength must lie in [0, 1]")
 

@@ -23,10 +23,10 @@ from .tensor import (
     dropout,
     embedding,
     gelu,
-    init_parameters,
     layer_norm,
     matmul,
     reshape,
+    scale,
     select,
     softmax_masked,
     tanh,
@@ -72,7 +72,7 @@ class EncoderOutput:
     mask: np.ndarray  # [B, W] bool, true at real tokens; the batch's stacked mask
 
 
-def param_specs(cfg: EncoderConfig, prefix: str = "encoder") -> list[tuple[str, tuple[int, ...], str]]:
+def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Named shapes and init kinds for every encoder parameter.
 
     The positional table uses per-row seeding so rows shared between two
@@ -81,11 +81,11 @@ def param_specs(cfg: EncoderConfig, prefix: str = "encoder") -> list[tuple[str, 
     """
     d, ff = cfg.d_model, cfg.d_ff
     specs: list[tuple[str, tuple[int, ...], str]] = [
-        (f"{prefix}.tok_emb", (cfg.vocab_size, d), "normal"),
-        (f"{prefix}.pos_emb", (cfg.l_max, d), "normal_rows"),
+        ("encoder.tok_emb", (cfg.vocab_size, d), "normal"),
+        ("encoder.pos_emb", (cfg.l_max, d), "normal_rows"),
     ]
     for i in range(cfg.n_layers):
-        base = f"{prefix}.layer{i}"
+        base = f"encoder.layer{i}"
         for w in ("wq", "wk", "wv", "wo"):
             specs.append((f"{base}.attn.{w}", (d, d), "normal"))
         for b in ("bq", "bk", "bv", "bo"):
@@ -98,20 +98,12 @@ def param_specs(cfg: EncoderConfig, prefix: str = "encoder") -> list[tuple[str, 
         specs.append((f"{base}.ff.b2", (d,), "zeros"))
         specs.append((f"{base}.ln2.gain", (d,), "ones"))
         specs.append((f"{base}.ln2.bias", (d,), "zeros"))
-    specs.append((f"{prefix}.pooler.w", (d, d), "normal"))
-    specs.append((f"{prefix}.pooler.b", (d,), "zeros"))
+    specs.append(("encoder.pooler.w", (d, d), "normal"))
+    specs.append(("encoder.pooler.b", (d,), "zeros"))
     return specs
 
 
-def init_encoder_params(
-    cfg: EncoderConfig, global_seed: int, dtype=np.float32, prefix: str = "encoder"
-) -> dict[str, Tensor]:
-    return init_parameters(param_specs(cfg, prefix), global_seed, dtype)
-
-
-def embed(
-    ids: np.ndarray | Sequence[TokenSequence], params: dict[str, Tensor], prefix: str = "encoder"
-) -> Tensor:
+def embed(ids: np.ndarray | Sequence[TokenSequence], params: dict[str, Tensor]) -> Tensor:
     """Token embedding plus learned positional embedding, [B, W, d].
 
     ids is the batch's [B, W] id array from stack_sequences; the
@@ -120,8 +112,8 @@ def embed(
     """
     if not isinstance(ids, np.ndarray):
         ids, _ = stack_sequences(ids)
-    tok = embedding(params[f"{prefix}.tok_emb"], ids)
-    pos = params[f"{prefix}.pos_emb"]
+    tok = embedding(params["encoder.tok_emb"], ids)
+    pos = params["encoder.pos_emb"]
     return add(tok, crop(pos, (ids.shape[1], pos.shape[1])))
 
 
@@ -146,7 +138,7 @@ def multi_head_attention(
     q = project("q")
     k = project("k")
     v = project("v")
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
+    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
     att = softmax_masked(scores, mask[:, None, None, :])
     ctx = transpose(matmul(att, v), (0, 2, 1, 3))
     out = add(matmul(reshape(ctx, (b, l, d)), params[f"{layer}.attn.wo"]), params[f"{layer}.attn.bo"])
@@ -164,7 +156,6 @@ def encode_batch(
     cfg: EncoderConfig,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-    prefix: str = "encoder",
 ) -> EncoderOutput:
     """Run the full encoder stack; dropout fires only in train mode.
 
@@ -178,13 +169,13 @@ def encode_batch(
     def drop(t: Tensor) -> Tensor:
         return dropout(t, cfg.dropout_rate, rng) if use_dropout else t
 
-    x = drop(embed(ids, params, prefix))
+    x = drop(embed(ids, params))
     for i in range(cfg.n_layers):
-        layer = f"{prefix}.layer{i}"
+        layer = f"encoder.layer{i}"
         attn_out, _ = multi_head_attention(x, mask, params, layer, cfg.n_heads)
         x = layer_norm(add(x, drop(attn_out)), params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
         ff_out = _feed_forward(x, params, layer)
         x = layer_norm(add(x, drop(ff_out)), params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
     first = select(x, 0, axis=1)
-    pooled = tanh(add(matmul(first, params[f"{prefix}.pooler.w"]), params[f"{prefix}.pooler.b"]))
+    pooled = tanh(add(matmul(first, params["encoder.pooler.w"]), params["encoder.pooler.b"]))
     return EncoderOutput(h=x, pooled=pooled, mask=mask)

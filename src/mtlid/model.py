@@ -98,6 +98,11 @@ class LossReport:
 
 
 def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Named shapes and init kinds for every parameter of the model.
+
+    Initialization is name-seeded, so parameters shared between modes
+    start bitwise equal.
+    """
     d = config.encoder.d_model
     specs = encoder.param_specs(config.encoder)
     for task, classes in config.tasks():
@@ -107,11 +112,6 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         specs.append((f"{task}_cls.w2", (config.hidden_size, classes), "normal"))
         specs.append((f"{task}_cls.b2", (classes,), "zeros"))
     return specs
-
-
-def init_model_params(config: ModelConfig, global_seed: int, dtype=np.float32) -> dict[str, Tensor]:
-    """Name-seeded init; parameters shared between modes start bitwise equal."""
-    return init_parameters(param_specs(config), global_seed, dtype)
 
 
 class MtlModel:
@@ -126,7 +126,7 @@ class MtlModel:
     ):
         self.config = config
         self.global_seed = global_seed
-        self.params = params if params is not None else init_model_params(config, global_seed, dtype)
+        self.params = params if params is not None else init_parameters(param_specs(config), global_seed, dtype)
 
     def forward(
         self,
@@ -262,7 +262,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Rebuild a model; any corruption or shape mismatch raises CheckpointError.
 
     Each parameter's name and shape are checked against the config before
-    its payload is read, so no read exceeds what the config expects.
+    its payload is read, so no read exceeds what the config expects; a
+    payload holding inf or nan is rejected.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -306,16 +307,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(f"parameter {name!r} has shape {stored}, config expects {shape}")
             count = math.prod(shape)
             data = np.frombuffer(_read_exact(f, 4 * count, size), dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"parameter {name!r} holds a non-finite value")
             params[name] = Tensor(data.astype(np.float32), requires_grad=True)
         if f.read(1):
             raise CheckpointError("trailing bytes after last parameter")
     if len(params) != len(expected):
         raise CheckpointError("checkpoint is missing parameters")
-    vocab = Vocabulary(
-        token_to_id={tok: i + 3 for i, tok in enumerate(tokens[3:])},
-        id_to_token=tokens,
-        min_frequency=1,
-        max_size=len(tokens),
-    )
+    vocab = Vocabulary(tokens, min_frequency=1, max_size=len(tokens))
     model = MtlModel(config, params=params)
     return Checkpoint(model=model, country_labels=country_labels, province_labels=province_labels, vocab=vocab)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +34,20 @@ def clean_text(raw: str) -> str:
 
 @dataclass
 class Vocabulary:
-    """Bijection between kept tokens and contiguous ids after the reserved three."""
+    """Bijection between kept tokens and contiguous ids after the reserved three.
 
-    token_to_id: dict[str, int]
+    token_to_id is derived from id_to_token; the reserved tokens are not
+    in it, so they look up as UNK like any other unknown token.
+    """
+
     id_to_token: list[str]
     min_frequency: int = 1
     max_size: int = 0
+    token_to_id: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        reserved = len(RESERVED_TOKENS)
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token[reserved:], start=reserved)}
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -69,9 +77,7 @@ def build_vocab(corpus: Sequence[str], min_frequency: int = 1, max_size: int = 3
         (tok for tok, n in counts.items() if n >= min_frequency),
         key=lambda tok: (-counts[tok], tok),
     )[: max_size - len(RESERVED_TOKENS)]
-    id_to_token = list(RESERVED_TOKENS) + kept
-    token_to_id = {tok: i + len(RESERVED_TOKENS) for i, tok in enumerate(kept)}
-    return Vocabulary(token_to_id, id_to_token, min_frequency, max_size)
+    return Vocabulary(list(RESERVED_TOKENS) + kept, min_frequency, max_size)
 
 
 @dataclass

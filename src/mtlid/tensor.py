@@ -99,25 +99,8 @@ class Tensor:
                 else:
                     local[key] = pg
 
-    def __add__(self, other) -> "Tensor":
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -418,7 +401,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (table,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias.
 
     Each mean is a sum divided by the count, which is what numpy's mean
@@ -428,7 +414,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     y = xhat * gain.data + bias.data
 
@@ -564,8 +550,16 @@ class NonFiniteGradientError(FloatingPointError):
         self.name = name
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a dict of named parameters, updated in place.
+
+    The moment decay rates and the denominator's epsilon are the module
+    constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON.
 
     The first and second moments m and v are one flat buffer each, holding
     the parameters back to back in registration order, so a step runs each
@@ -573,20 +567,9 @@ class Adam:
     share one dtype.
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: Mapping[str, Tensor], learning_rate: float = 1e-3):
         if learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         self.params = dict(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
@@ -594,9 +577,6 @@ class Adam:
         if len(dtypes) != 1:
             raise ValueError(f"Adam: parameters mix dtypes {sorted(str(d) for d in dtypes)}")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
         self._spans = list(zip(bounds[:-1], bounds[1:]))
         self.m = np.zeros(bounds[-1], dtype=dtypes.pop())
@@ -620,21 +600,21 @@ class Adam:
             raise NonFiniteGradientError(name)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         m, v = self.m, self.v
         # The same elementwise operations, in the same order, as an update
         # of each parameter on its own; g is reused as scratch once read.
-        update = (1.0 - self.beta1) * g
-        m *= self.beta1
+        update = (1.0 - ADAM_BETA1) * g
+        m *= ADAM_BETA1
         m += update
-        v *= self.beta2
+        v *= ADAM_BETA2
         g *= g
-        g *= 1.0 - self.beta2
+        g *= 1.0 - ADAM_BETA2
         v += g
         np.divide(v, bc2, out=g)
         np.sqrt(g, out=g)
-        g += self.epsilon
+        g += ADAM_EPSILON
         np.divide(m, bc1, out=update)
         update *= self.learning_rate
         update /= g

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from gradcheck import max_grad_error
-from mtlid.attnpool import init_task_attention_params, task_attention
+from mtlid.attnpool import param_specs, task_attention
 from mtlid.cli import main as cli_main
 from mtlid.data import Dataset, SynthConfig, synth_generate
 from mtlid.encoder import EncoderConfig
@@ -33,7 +33,7 @@ from mtlid.preprocess import (
     build_vocab,
     clean_text,
 )
-from mtlid.tensor import Tensor
+from mtlid.tensor import Tensor, init_parameters
 from mtlid.train import TrainConfig, evaluate, metrics_from_predictions, train
 
 
@@ -98,7 +98,7 @@ def test_criterion_2_attention_contract():
     with criterion(2, "attention contract"):
         rng = np.random.default_rng(3)
         d, l = 6, 10
-        params = init_task_attention_params(d, l, "country", 4, np.float64)
+        params = init_parameters(param_specs(d, l, "country"), 4, np.float64)
         h_data = rng.normal(scale=2.0, size=(1000, l, d))
         mask = rng.random((1000, l)) < 0.5
         mask[np.arange(1000), rng.integers(0, l, size=1000)] = True  # no degenerate rows

@@ -7,15 +7,15 @@ from gradcheck import max_grad_error
 from mtlid.attnpool import (
     attention_report,
     format_attention_report,
-    init_task_attention_params,
+    param_specs,
     task_attention,
 )
 from mtlid.preprocess import TokenSequence, build_vocab
-from mtlid.tensor import DegenerateMaskError, Tensor, mul, sum_all
+from mtlid.tensor import DegenerateMaskError, Tensor, init_parameters, mul, sum_all
 
 
 def make_params(d=3, l_max=5, task="country", seed=0, dtype=np.float64):
-    p = init_task_attention_params(d, l_max, task, seed, dtype)
+    p = init_parameters(param_specs(d, l_max, task), seed, dtype)
     return p[f"{task}_attn.w_a"], p[f"{task}_attn.w_alpha"]
 
 
@@ -90,8 +90,8 @@ def test_all_masked_row_raises():
 
 def test_tasks_share_no_parameters():
     d, l_max = 4, 6
-    c = init_task_attention_params(d, l_max, "country", 0, np.float64)
-    p = init_task_attention_params(d, l_max, "province", 0, np.float64)
+    c = init_parameters(param_specs(d, l_max, "country"), 0, np.float64)
+    p = init_parameters(param_specs(d, l_max, "province"), 0, np.float64)
     rng = np.random.default_rng(3)
     h_data = rng.normal(size=(2, 6, 4))
     mask = np.ones((2, 6), dtype=bool)

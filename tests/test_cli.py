@@ -3,10 +3,11 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict, fields
 
 import pytest
 
-from mtlid.cli import main
+from mtlid.cli import build_parser, main
 from mtlid.data import SynthConfig, save_tsv, synth_generate
 from mtlid.model import load_checkpoint
 
@@ -351,9 +352,14 @@ def test_distribution_uniform_counts_equal(corpus, capsys):
     assert len(counts) == 1
 
 
+def test_synth_flags_default_to_synth_config():
+    args = build_parser().parse_args(["synth", "--out", "x"])
+    assert {f.name: getattr(args, f.name) for f in fields(SynthConfig)} == asdict(SynthConfig())
+
+
 def test_synth_same_seed_identical_digests(tmp_path):
     args = [
-        "synth", "--countries", "2", "--provinces-per-country", "2",
+        "synth", "--n-countries", "2", "--provinces-per-country", "2",
         "--examples-per-province", "10", "--seed", "7",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -366,7 +372,7 @@ def test_synth_same_seed_identical_digests(tmp_path):
 
 
 def test_synth_output_trains(tmp_path, corpus):
-    assert main(["synth", "--countries", "2", "--provinces-per-country", "2",
+    assert main(["synth", "--n-countries", "2", "--provinces-per-country", "2",
                  "--examples-per-province", "12", "--seed", "1", "--out", str(tmp_path / "s")]) == 0
     code = main(
         [

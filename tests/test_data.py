@@ -283,3 +283,7 @@ def test_synth_config_validation():
         SynthConfig(signal_strength=1.5)
     with pytest.raises(ValueError, match="n_countries"):
         SynthConfig(n_countries=0)
+    with pytest.raises(ValueError, match="n_countries must be an integer"):
+        SynthConfig(n_countries=2.0)
+    with pytest.raises(ValueError, match="examples_per_province must be an integer"):
+        SynthConfig(examples_per_province=True)

@@ -8,12 +8,11 @@ from mtlid.encoder import (
     EncoderConfig,
     embed,
     encode_batch,
-    init_encoder_params,
     multi_head_attention,
     param_specs,
 )
 from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, stack_sequences
-from mtlid.tensor import sum_all
+from mtlid.tensor import init_parameters, sum_all
 
 TOY = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.0)
 
@@ -31,7 +30,7 @@ def make_seq(rng, l_max, true_length, vocab_size=20):
 
 @pytest.fixture
 def toy_params():
-    return init_encoder_params(TOY, global_seed=0, dtype=np.float64)
+    return init_parameters(param_specs(TOY), 0, np.float64)
 
 
 def test_config_validation():
@@ -113,8 +112,8 @@ def test_padding_invariance_across_widths():
     rng = np.random.default_rng(6)
     narrow_cfg = TOY
     wide_cfg = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=12, vocab_size=20, dropout_rate=0.0)
-    p_narrow = init_encoder_params(narrow_cfg, global_seed=0, dtype=np.float64)
-    p_wide = init_encoder_params(wide_cfg, global_seed=0, dtype=np.float64)
+    p_narrow = init_parameters(param_specs(narrow_cfg), 0, np.float64)
+    p_wide = init_parameters(param_specs(wide_cfg), 0, np.float64)
     seqs = [make_seq(rng, 8, 5), make_seq(rng, 8, 8)]
     wide_seqs = [
         TokenSequence(np.pad(s.ids, (0, 4), constant_values=PAD_ID), np.pad(s.mask, (0, 4)), s.true_length)
@@ -142,7 +141,7 @@ def test_attention_rows_sum_to_one(toy_params):
 
 def test_dropout_only_in_train_mode():
     cfg = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.5)
-    params = init_encoder_params(cfg, global_seed=0)
+    params = init_parameters(param_specs(cfg), 0)
     rng = np.random.default_rng(8)
     seqs = [make_seq(rng, 8, 6)]
     eval_a = encode_batch(seqs, params, cfg, train_mode=False).h.data
@@ -172,7 +171,7 @@ def test_every_parameter_gets_gradient(toy_params):
 
 def test_param_specs_cover_init():
     names = [name for name, _, _ in param_specs(TOY)]
-    params = init_encoder_params(TOY, global_seed=0)
+    params = init_parameters(param_specs(TOY), 0)
     assert sorted(names) == sorted(params)
     assert params["encoder.layer0.ln1.gain"].data.min() == 1.0
     assert np.all(params["encoder.layer0.attn.bq"].data == 0.0)

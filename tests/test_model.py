@@ -1,6 +1,7 @@
 """Model assembly: forward wiring, losses, argmax, checkpoints, head isolation."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -296,6 +297,7 @@ def test_checkpoint_round_trip_byte_identical(saved, tmp_path):
     assert ckpt.country_labels == labels_c
     assert ckpt.province_labels == labels_p
     assert ckpt.vocab.id_to_token == vocab.id_to_token
+    assert ckpt.vocab.token_to_id == vocab.token_to_id
     for name, p in model.params.items():
         assert np.array_equal(ckpt.model.params[name].data, p.data)
 
@@ -340,6 +342,18 @@ def test_checkpoint_truncation_or_bit_flip_loads_or_raises_checkpoint_error(save
     for bit in range(8 * (len(blob) - 4 * last.size), 8 * len(blob), 7):
         corrupt.write_bytes(_flip(blob, bit))
         load_checkpoint(corrupt)
+
+
+def test_checkpoint_non_finite_weight_rejected(saved):
+    # Bit 30 is the top exponent bit: flipping it turns a gain of 1.0 into inf.
+    path, *_ = saved
+    blob = path.read_bytes()
+    name = b"encoder.layer0.ln1.gain"
+    payload = blob.rindex(name) + len(name) + 1 + 4  # rank u8, one u32 dim
+    assert struct.unpack("<f", blob[payload : payload + 4]) == (1.0,)
+    path.write_bytes(_flip(blob, 8 * payload + 30))
+    with pytest.raises(CheckpointError, match=re.escape("'encoder.layer0.ln1.gain' holds a non-finite")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved):

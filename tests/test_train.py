@@ -1,6 +1,7 @@
 """Metrics oracles, training-loop determinism, and report file formats."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,10 @@ from mtlid.train import (
     EpochRecord,
     LabelSpaceError,
     MetricsReport,
-    PAPER_PROTOCOL,
     TrainConfig,
     confusion_matrix,
     evaluate,
     format_history_line,
-    macro_f1,
     metrics_from_predictions,
     train,
     write_confusion,
@@ -82,8 +81,8 @@ def test_three_class_hand_tally():
 def test_macro_f1_zero_support_class_lowers_mean():
     gold = np.array([0, 0])
     pred = np.array([0, 0])
-    assert macro_f1(gold, pred, 1) == 1.0
-    assert macro_f1(gold, pred, 2) == 0.5  # absent class contributes 0
+    assert metrics_from_predictions(gold, pred, 1).macro_f1 == 1.0
+    assert metrics_from_predictions(gold, pred, 2).macro_f1 == 0.5  # absent class contributes 0
 
 
 def test_macro_f1_class_count_sensitivity():
@@ -94,7 +93,10 @@ def test_macro_f1_class_count_sensitivity():
         gold = rng.integers(0, used, size=n)
         pred = rng.integers(0, used, size=n)
         full = used + int(rng.integers(1, 4))
-        assert macro_f1(gold, pred, used) >= macro_f1(gold, pred, full)
+        assert (
+            metrics_from_predictions(gold, pred, used).macro_f1
+            >= metrics_from_predictions(gold, pred, full).macro_f1
+        )
 
 
 def test_metrics_match_tally_oracle_exactly():
@@ -181,9 +183,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
-    assert TrainConfig.paper_protocol() == TrainConfig(
-        learning_rate=PAPER_PROTOCOL["learning_rate"], batch_size=16, epochs=5
-    )
 
 
 def test_train_deterministic_history():
@@ -236,6 +235,14 @@ def test_non_finite_gradient_under_finite_loss_stops_before_the_update():
     assert all(np.isfinite(p.data).all() for p in model.params.values())
 
 
+def test_diverging_run_raises_divergence_error_without_numpy_warnings():
+    train_ds, _, vocab, config = tiny_setup()
+    model = MtlModel(config, global_seed=0)
+    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+        warnings.simplefilter("error")
+        train(model, train_ds, None, vocab, TrainConfig(epochs=3, batch_size=8, learning_rate=1e9))
+
+
 def test_partial_last_batch_still_trains():
     train_ds, dev_ds, vocab, config = tiny_setup()
     model = MtlModel(config, global_seed=0)
@@ -266,11 +273,11 @@ def test_evaluate_perfect_toy_model():
     assert rep["country"].accuracy > 0.95
 
 
-def test_eval_every_skips_epochs():
+def test_every_epoch_carries_dev_metrics():
     train_ds, dev_ds, vocab, config = tiny_setup()
     model = MtlModel(config, global_seed=0)
-    res = train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=4, batch_size=8, seed=0, eval_every=2))
-    assert [bool(r.dev) for r in res.history] == [False, True, False, True]
+    res = train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=4, batch_size=8, seed=0))
+    assert [sorted(r.dev) for r in res.history] == [["country", "province"]] * 4
 
 
 # ---------------------------------------------------------------------------
