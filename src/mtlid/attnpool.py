@@ -66,20 +66,14 @@ def attention_report(
     seqs: Sequence[TokenSequence],
     vocab: Vocabulary,
 ) -> list[list[tuple[str, float]]]:
-    """Per example: (token, weight) for unmasked positions, in position order."""
+    """Per example: (token, weight) for each of its tokens, in position order."""
     weights = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
     if weights.shape[0] != len(seqs):
         raise ValueError(f"alpha rows ({weights.shape[0]}) != batch size ({len(seqs)})")
-    report = []
-    for row, seq in zip(weights, seqs):
-        report.append(
-            [
-                (vocab.token_for(int(i)), float(w))
-                for i, m, w in zip(seq.ids, seq.mask, row)
-                if m
-            ]
-        )
-    return report
+    return [
+        [(vocab.token_for(int(i)), float(w)) for i, w in zip(seq.ids, row)]
+        for row, seq in zip(weights, seqs)
+    ]
 
 
 def format_attention_report(report: list[list[tuple[str, float]]]) -> str:

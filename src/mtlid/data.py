@@ -49,14 +49,16 @@ class Dataset:
 def _parse_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     """Non-empty lines split on tabs, numbered from 1, header dropped.
 
-    The file must be UTF-8; a leading byte-order mark is skipped.
+    The file must be UTF-8; a leading byte-order mark is skipped. Only LF
+    or CRLF ends a line, so a text may hold any other line separator.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
+        raw = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if line == "":
             continue
         rows.append((lineno, line.split("\t")))

@@ -8,10 +8,12 @@ vocabularies, and the token vocabulary so a saved model is self-contained.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -39,7 +41,7 @@ MODE_PROVINCE = "province"
 MODES = (MODE_MTL, MODE_COUNTRY, MODE_PROVINCE)
 
 CHECKPOINT_MAGIC = b"MTLD"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -125,7 +127,6 @@ class MtlModel:
         params: dict[str, Tensor] | None = None,
     ):
         self.config = config
-        self.global_seed = global_seed
         self.params = params if params is not None else init_parameters(param_specs(config), global_seed, dtype)
 
     def forward(
@@ -162,23 +163,22 @@ def compute_loss(
     contributes exactly zero to both.
     """
     w_c, w_p = config.loss_weights
+    heads = {
+        "country": (logits_country, labels_country, w_c),
+        "province": (logits_province, labels_province, w_p),
+    }
     total: Tensor | None = None
-    loss_c = 0.0
-    loss_p = 0.0
-    if config.has_country:
-        if logits_country is None or labels_country is None:
-            raise ValueError("country head present but logits or labels missing")
-        ce = cross_entropy_from_logits(logits_country, labels_country)
-        loss_c = ce.item()
-        total = scale(ce, w_c)
-    if config.has_province:
-        if logits_province is None or labels_province is None:
-            raise ValueError("province head present but logits or labels missing")
-        ce = cross_entropy_from_logits(logits_province, labels_province)
-        loss_p = ce.item()
-        term = scale(ce, w_p)
+    losses = {"country": 0.0, "province": 0.0}
+    for task, _ in config.tasks():
+        logits, labels, weight = heads[task]
+        if logits is None or labels is None:
+            raise ValueError(f"{task} head present but logits or labels missing")
+        ce = cross_entropy_from_logits(logits, labels)
+        losses[task] = ce.item()
+        term = scale(ce, weight)
         total = term if total is None else add(total, term)
     assert total is not None
+    loss_c, loss_p = losses["country"], losses["province"]
     return total, LossReport(country=loss_c, province=loss_p, total=w_c * loss_c + w_p * loss_p)
 
 
@@ -223,9 +223,10 @@ def save_checkpoint(
     province_labels: Sequence[str],
     vocab: Vocabulary,
 ) -> None:
-    """Write magic, version, config document, then parameters sorted by name.
+    """Write magic, version, config document, parameters sorted by name, CRC32.
 
-    The bytes go to a temporary file that replaces path only once complete,
+    The trailer is the zlib CRC32 of every preceding byte, as u32 LE. The
+    bytes go to a temporary file that replaces path only once complete,
     so a failed write leaves any previous checkpoint untouched.
     """
     doc = _config_document(model.config, country_labels, province_labels, vocab)
@@ -233,18 +234,26 @@ def save_checkpoint(
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<H", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(doc)))
-            f.write(doc)
+            crc = 0
+
+            def write(chunk: bytes) -> None:
+                nonlocal crc
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+
+            write(CHECKPOINT_MAGIC)
+            write(struct.pack("<H", CHECKPOINT_VERSION))
+            write(struct.pack("<I", len(doc)))
+            write(doc)
             for name in sorted(model.params):
                 data = model.params[name].data
                 name_b = name.encode("utf-8")
-                f.write(struct.pack("<I", len(name_b)))
-                f.write(name_b)
-                f.write(struct.pack("<B", data.ndim))
-                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+                write(struct.pack("<I", len(name_b)))
+                write(name_b)
+                write(struct.pack("<B", data.ndim))
+                write(struct.pack(f"<{data.ndim}I", *data.shape))
+                write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -252,7 +261,7 @@ def save_checkpoint(
 
 
 def _read_exact(f, n: int, size: int) -> bytes:
-    """n bytes from f, a file of size bytes; when fewer remain, raise before reading."""
+    """n bytes from f; raise, before reading, when fewer than n remain before offset size."""
     if n > size - f.tell():
         raise CheckpointError("checkpoint truncated")
     return f.read(n)
@@ -261,17 +270,21 @@ def _read_exact(f, n: int, size: int) -> bytes:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Rebuild a model; any corruption or shape mismatch raises CheckpointError.
 
-    Each parameter's name and shape are checked against the config before
-    its payload is read, so no read exceeds what the config expects; a
-    payload holding inf or nan is rejected.
+    After magic and version, the CRC32 trailer is checked against the rest
+    of the file. Each parameter's name and shape are checked against the
+    config before its payload is read, so no read exceeds what the config
+    expects; a payload holding inf or nan is rejected.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+    blob = Path(path).read_bytes()
+    size = len(blob) - 4  # the CRC32 trailer follows the body
+    with io.BytesIO(blob) as f:
         if _read_exact(f, 4, size) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a model checkpoint (bad magic)")
         (version,) = struct.unpack("<H", _read_exact(f, 2, size))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        if zlib.crc32(memoryview(blob)[:size]) != struct.unpack("<I", blob[size:])[0]:
+            raise CheckpointError("checkpoint checksum mismatch")
         (doc_len,) = struct.unpack("<I", _read_exact(f, 4, size))
         try:
             doc = json.loads(_read_exact(f, doc_len, size).decode("utf-8"))
@@ -310,7 +323,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             if not np.isfinite(data).all():
                 raise CheckpointError(f"parameter {name!r} holds a non-finite value")
             params[name] = Tensor(data.astype(np.float32), requires_grad=True)
-        if f.read(1):
+        if f.tell() != size:
             raise CheckpointError("trailing bytes after last parameter")
     if len(params) != len(expected):
         raise CheckpointError("checkpoint is missing parameters")

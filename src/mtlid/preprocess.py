@@ -1,4 +1,4 @@
-"""Text cleaning, corpus vocabulary, and padded token-id sequences.
+"""Text cleaning, corpus vocabulary, and token-id sequences.
 
 Cleaning does exactly two things, in order: @-mentions become the literal
 token USER, then Arabic diacritics (tashkeel U+064B..U+065F, superscript
@@ -82,45 +82,38 @@ def build_vocab(corpus: Sequence[str], min_frequency: int = 1, max_size: int = 3
 
 @dataclass
 class TokenSequence:
-    """One text's ids at the model's full width l_max: CLS first, then
-    tokens, PAD-filled tail.
+    """One text's ids: CLS first, then its tokens, at most l_max in all.
 
-    mask is true exactly on the leading true_length positions. A batch
-    runs at the width of its longest sequence (see stack_sequences).
+    Padding is a property of a batch, not of a sequence: stack_sequences
+    pads each batch to its longest sequence and builds its mask.
     """
 
     ids: np.ndarray
-    mask: np.ndarray
-    true_length: int
+
+    @property
+    def true_length(self) -> int:
+        return len(self.ids)
 
 
 def encode(text: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
-    """Map cleaned text to [CLS] + token ids, truncated/padded to l_max."""
+    """Map cleaned text to [CLS] + token ids, truncated to l_max."""
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    kept = [CLS_ID] + [vocab.id_for(tok) for tok in text.split()]
-    kept = kept[:l_max]
-    n = len(kept)
-    ids = np.full(l_max, PAD_ID, dtype=np.int64)
-    ids[:n] = kept
-    mask = np.zeros(l_max, dtype=bool)
-    mask[:n] = True
-    return TokenSequence(ids=ids, mask=mask, true_length=n)
+    kept = [CLS_ID] + [vocab.id_for(tok) for tok in text.split()[: l_max - 1]]
+    return TokenSequence(np.array(kept, dtype=np.int64))
 
 
 def stack_sequences(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack equal-width sequences into (ids [B, W], mask [B, W]) arrays.
+    """PAD-fill a batch into (ids [B, W], mask [B, W]) arrays.
 
-    W is the longest true_length in the batch. Every position past it is
-    padding in every row, and padding gets exactly zero weight everywhere
-    in the model, so dropping those columns changes no result.
+    W is the longest sequence in the batch; mask is true exactly on each
+    row's real tokens. Padding gets exactly zero weight everywhere in the
+    model, so the batch width changes no result.
     """
     if not seqs:
         raise ValueError("stack_sequences: empty batch")
-    widths = {len(s.ids) for s in seqs}
-    if len(widths) != 1:
-        raise ValueError(f"stack_sequences: mixed widths {sorted(widths)}")
-    w = max(s.true_length for s in seqs)
-    ids = np.stack([s.ids[:w] for s in seqs])
-    mask = np.stack([s.mask[:w] for s in seqs])
+    lengths = np.array([len(s.ids) for s in seqs])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    ids[mask] = np.concatenate([s.ids for s in seqs])
     return ids, mask

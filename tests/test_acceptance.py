@@ -55,14 +55,8 @@ def toy_batch(rng, n_seqs=4, l_max=8, vocab_size=30):
     seqs = []
     for _ in range(n_seqs):
         n = int(rng.integers(2, l_max + 1))
-        ids = np.full(l_max, PAD_ID, dtype=np.int64)
-        mask = np.zeros(l_max, dtype=bool)
-        ids[0] = CLS_ID
-        mask[0] = True
-        for i in range(1, n):
-            ids[i] = int(rng.integers(3, vocab_size))
-            mask[i] = True
-        seqs.append(TokenSequence(ids, mask, n))
+        ids = [CLS_ID] + [int(rng.integers(3, vocab_size)) for _ in range(1, n)]
+        seqs.append(TokenSequence(np.array(ids, dtype=np.int64)))
     return seqs
 
 

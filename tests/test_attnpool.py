@@ -128,11 +128,7 @@ def test_gradients_match_finite_differences():
 
 def test_report_single_token():
     vocab = build_vocab(["tok"], 1, 10)
-    seq = TokenSequence(
-        ids=np.array([vocab.token_to_id["tok"]], dtype=np.int64),
-        mask=np.array([True]),
-        true_length=1,
-    )
+    seq = TokenSequence(np.array([vocab.token_to_id["tok"]], dtype=np.int64))
     report = attention_report(np.array([[1.0]]), [seq], vocab)
     assert report == [[("tok", 1.0)]]
 
@@ -145,7 +141,7 @@ def test_report_weights_sum_and_mask():
     mask = np.array([[True, True, True, False], [True, True, False, False]])
     out = task_attention(h, mask, w_a, w_alpha)
     ids = np.array([[2, 3, 4, 0], [2, 4, 0, 0]], dtype=np.int64)
-    seqs = [TokenSequence(ids[i], mask[i], int(mask[i].sum())) for i in range(2)]
+    seqs = [TokenSequence(ids[i][mask[i]]) for i in range(2)]
     report = attention_report(out.alpha, seqs, vocab)
     assert [len(block) for block in report] == [3, 2]  # masked tail absent
     for block in report:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtlid.encoder import EncoderConfig
 from mtlid.model import MODES, MtlModel, ModelConfig
-from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, stack_sequences
+from mtlid.preprocess import CLS_ID, TokenSequence, stack_sequences
 from mtlid.tensor import Tensor, add, mul, sum_all
 
 L_MAX = 12
@@ -32,10 +32,7 @@ def _model(mode: str, dtype) -> MtlModel:
 
 
 def _seq(rng: np.random.Generator, n: int) -> TokenSequence:
-    ids = np.full(L_MAX, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    ids[1:n] = rng.integers(3, VOCAB, size=n - 1)
-    return TokenSequence(ids, np.arange(L_MAX) < n, n)
+    return TokenSequence(np.concatenate([[CLS_ID], rng.integers(3, VOCAB, size=n - 1)]))
 
 
 def _logits_and_grads(model: MtlModel, seqs, weights):

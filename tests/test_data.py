@@ -4,6 +4,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mtlid.data import (
     DataError,
@@ -120,6 +121,61 @@ def test_tsv_round_trip(tmp_path):
     assert [(e.id, e.text, e.country, e.province) for e in back.examples] == [
         (e.id, e.text, e.country, e.province) for e in train_ds.examples
     ]
+
+
+# A field may hold any character but the separators the format reserves.
+_FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=8)
+
+
+def test_save_then_load_tsv_round_trips_every_field(tmp_path):
+    path = tmp_path / "rt.tsv"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_FIELD, _FIELD, _FIELD, _FIELD), min_size=1, max_size=6, unique_by=lambda row: row[0]))
+    @example([("x1", "one\u2028two", "c", "p")])
+    def round_trips(rows):
+        countries = sorted({c for _, _, c, _ in rows})
+        provinces = sorted({p for _, _, _, p in rows})
+        examples = [Example(i, t, countries.index(c), provinces.index(p)) for i, t, c, p in rows]
+        save_tsv(Dataset(examples, countries, provinces), path)
+        back = load_tsv(path)
+        assert [
+            (e.id, e.text, back.country_labels[e.country], back.province_labels[e.province]) for e in back.examples
+        ] == rows
+        assert load_texts(path) == [(i, t) for i, t, _, _ in rows]
+
+    round_trips()
+
+
+def test_only_lf_or_crlf_ends_a_line(tmp_path):
+    path = tmp_path / "p.tsv"
+    for sep in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        path.write_text(f"i1\tfoo{sep}i2\tbar\ni3\tbaz\r\n", encoding="utf-8", newline="")
+        with pytest.raises(DataError, match="line 1: expected 2 or 4"):
+            load_texts(path)
+        path.write_text(f"i1\tfoo{sep}bar\ni3\tbaz\r\n", encoding="utf-8", newline="")
+        assert load_texts(path) == [("i1", f"foo{sep}bar"), ("i3", "baz")]
+
+
+def test_malformed_tsv_loads_or_raises_data_error(tmp_path):
+    path = tmp_path / "bad.tsv"
+    header = "id\ttext\tcountry\tprovince"
+    piece = st.sampled_from(["\t", "\n", "\r\n", "\r", "id", "x", "y", " ", "\u2028", header])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(piece, max_size=16).map("".join))
+    @example(header + "\n")
+    @example("x\t\tc\tp\n")
+    @example("x\ty\t\tc\tp\n")
+    def loads_or_raises_data_error(content):
+        path.write_text(content, encoding="utf-8", newline="")
+        for load in (load_tsv, load_texts):
+            try:
+                load(path)
+            except DataError:
+                pass
+
+    loads_or_raises_data_error()
 
 
 def test_load_texts_accepts_two_or_four_columns(tmp_path):

@@ -1,8 +1,10 @@
 """Model assembly: forward wiring, losses, argmax, checkpoints, head isolation."""
 
 import math
+import os
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,21 +25,15 @@ from mtlid.model import (
     save_checkpoint,
 )
 from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, build_vocab
-from mtlid.tensor import Tensor, no_grad
+from mtlid.tensor import ShapeError, Tensor, no_grad
 
 TOY_ENC = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ff=8, l_max=4, vocab_size=12, dropout_rate=0.0)
 
 
 def make_seq(rng, l_max=4, true_length=None, vocab_size=12):
     n = true_length if true_length is not None else int(rng.integers(1, l_max + 1))
-    ids = np.full(l_max, PAD_ID, dtype=np.int64)
-    mask = np.zeros(l_max, dtype=bool)
-    ids[0] = CLS_ID
-    mask[0] = True
-    for i in range(1, n):
-        ids[i] = int(rng.integers(3, vocab_size))
-        mask[i] = True
-    return TokenSequence(ids, mask, n)
+    ids = [CLS_ID] + [int(rng.integers(3, vocab_size)) for _ in range(1, n)]
+    return TokenSequence(np.array(ids, dtype=np.int64))
 
 
 def test_logits_shapes_match_class_counts():
@@ -81,6 +77,14 @@ def test_single_task_modes_have_one_head():
     assert not any(name.startswith("country") for name in p_model.params)
 
 
+def test_sequence_longer_than_l_max_is_rejected():
+    model = MtlModel(ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4), 0)
+    rng = np.random.default_rng(2)
+    seqs = [make_seq(rng), make_seq(rng, l_max=5, true_length=5)]
+    with pytest.raises(ShapeError, match="crop"):
+        model.forward(seqs)
+
+
 def _gelu_ref(x):
     inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)
     return 0.5 * x * (1.0 + math.tanh(inner))
@@ -95,12 +99,14 @@ def test_forward_matches_hand_unrolled_oracle():
     seq = make_seq(rng, 4, true_length=3)
     logits_c, _ = model.forward([seq])
 
+    # replayed at the full width l_max, padding included
     L, d = 4, 4
-    mask = seq.mask
+    mask = np.arange(L) < seq.true_length
+    ids = np.pad(seq.ids, (0, L - seq.true_length), constant_values=PAD_ID)
     # embeddings
     x = np.zeros((L, d))
     for i in range(L):
-        x[i] = p["encoder.tok_emb"][seq.ids[i]] + p["encoder.pos_emb"][i]
+        x[i] = p["encoder.tok_emb"][ids[i]] + p["encoder.pos_emb"][i]
     # single-head self-attention
     q = x @ p["encoder.layer0.attn.wq"] + p["encoder.layer0.attn.bq"]
     k = x @ p["encoder.layer0.attn.wk"] + p["encoder.layer0.attn.bk"]
@@ -317,8 +323,14 @@ def _flip(blob: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
+def _reseal(blob: bytes) -> bytes:
+    """Replace the CRC32 trailer so a deliberate corruption reaches the check after it."""
+    body = blob[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_checkpoint_truncation_or_bit_flip_loads_or_raises_checkpoint_error(saved):
-    path, model, *_ = saved
+    path, *_ = saved
     blob = path.read_bytes()
     corrupt = path.with_name("corrupt.ckpt")
 
@@ -337,11 +349,30 @@ def test_checkpoint_truncation_or_bit_flip_loads_or_raises_checkpoint_error(save
             pass
 
     loads_or_raises_checkpoint_error()
-    # There is no checksum: a flip inside a float payload loads.
-    last = model.params[max(model.params)].data
-    for bit in range(8 * (len(blob) - 4 * last.size), 8 * len(blob), 7):
-        corrupt.write_bytes(_flip(blob, bit))
-        load_checkpoint(corrupt)
+
+
+def test_checkpoint_every_bit_flip_raises(saved):
+    path, *_ = saved
+    blob = path.read_bytes()
+    fd = os.open(path, os.O_RDWR)
+    try:
+        for offset, byte in enumerate(blob):
+            for bit in range(8):
+                os.pwrite(fd, bytes([byte ^ (1 << bit)]), offset)
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
+            os.pwrite(fd, bytes([byte]), offset)
+    finally:
+        os.close(fd)
+    load_checkpoint(path)
+
+
+def test_checkpoint_version_1_is_unsupported(saved):
+    path, *_ = saved
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:-4])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_non_finite_weight_rejected(saved):
@@ -351,7 +382,7 @@ def test_checkpoint_non_finite_weight_rejected(saved):
     name = b"encoder.layer0.ln1.gain"
     payload = blob.rindex(name) + len(name) + 1 + 4  # rank u8, one u32 dim
     assert struct.unpack("<f", blob[payload : payload + 4]) == (1.0,)
-    path.write_bytes(_flip(blob, 8 * payload + 30))
+    path.write_bytes(_reseal(_flip(blob, 8 * payload + 30)))
     with pytest.raises(CheckpointError, match=re.escape("'encoder.layer0.ln1.gain' holds a non-finite")):
         load_checkpoint(path)
 
@@ -364,7 +395,7 @@ def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved):
     (name_len,) = struct.unpack("<I", blob[first : first + 4])
     dims = first + 4 + name_len + 1
     blob[dims : dims + 4] = struct.pack("<I", 2**31)
-    path.write_bytes(bytes(blob))
+    path.write_bytes(_reseal(bytes(blob)))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path)
 

@@ -123,15 +123,24 @@ def small_vocab():
 
 def test_encode_empty_text(small_vocab):
     seq = encode("", small_vocab, l_max=4)
-    assert list(seq.ids) == [CLS_ID, PAD_ID, PAD_ID, PAD_ID]
+    assert list(seq.ids) == [CLS_ID]
     assert seq.true_length == 1
-    assert list(seq.mask) == [True, False, False, False]
 
 
 def test_encode_known_tokens(small_vocab):
     seq = encode("a b", small_vocab, l_max=4)
-    assert list(seq.ids) == [2, 3, 4, 0]
-    assert list(seq.mask) == [True, True, True, False]
+    assert list(seq.ids) == [2, 3, 4]
+
+
+def test_encode_is_cls_then_token_ids_without_padding(small_vocab):
+    rng = np.random.default_rng(4)
+    tokens = ["a", "b", "zz"]
+    for _ in range(200):
+        words = [tokens[int(i)] for i in rng.integers(0, 3, size=int(rng.integers(0, 12)))]
+        seq = encode(" ".join(words), small_vocab, l_max=6)
+        expected = [CLS_ID] + [small_vocab.id_for(w) for w in words][:5]
+        assert seq.ids.dtype == np.int64 and list(seq.ids) == expected
+        assert seq.true_length == len(expected)
 
 
 def test_encode_truncates_long_text(small_vocab):
@@ -151,16 +160,21 @@ def test_encode_requires_width_two(small_vocab):
         encode("a", small_vocab, l_max=1)
 
 
-def test_encode_mask_is_prefix(small_vocab):
+def test_stack_sequences_mask_is_prefix(small_vocab):
     rng = np.random.default_rng(5)
     tokens = ["a", "b", "zz"]
-    for _ in range(200):
-        text = " ".join(tokens[int(i)] for i in rng.integers(0, 3, size=int(rng.integers(0, 12))))
-        seq = encode(text, small_vocab, l_max=6)
-        m = list(seq.mask)
-        assert m == sorted(m, reverse=True)  # True prefix then False
-        assert seq.ids[0] == CLS_ID and seq.mask[0]
-        assert all(i == PAD_ID for i, keep in zip(seq.ids, seq.mask) if not keep)
+    for _ in range(50):
+        texts = [
+            " ".join(tokens[int(i)] for i in rng.integers(0, 3, size=int(rng.integers(0, 12))))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        seqs = [encode(text, small_vocab, l_max=6) for text in texts]
+        ids, mask = stack_sequences(seqs)
+        assert ids.shape == mask.shape == (len(seqs), max(s.true_length for s in seqs))
+        for row_ids, row_mask, seq in zip(ids, mask, seqs):
+            n = seq.true_length
+            assert row_mask[:n].all() and not row_mask[n:].any()
+            assert list(row_ids[:n]) == list(seq.ids) and (row_ids[n:] == PAD_ID).all()
 
 
 def test_stack_sequences_shapes(small_vocab):
