@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import require_count
+from .encoder import require_count, require_seed
 from .preprocess import clean_text
 
 
@@ -159,6 +159,7 @@ class SynthConfig:
             require_count(name, getattr(self, name))
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ValueError("signal_strength must lie in [0, 1]")
+        require_seed(self.seed)
 
 
 def _largest_remainder_split(n: int, fractions: Sequence[float]) -> list[int]:

@@ -42,6 +42,12 @@ def require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be positive")
 
 
+def require_seed(value) -> None:
+    """A seed must be a nonnegative integer, as numpy's generators require."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {value!r}")
+
+
 @dataclass
 class EncoderConfig:
     d_model: int = 64

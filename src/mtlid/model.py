@@ -8,7 +8,6 @@ vocabularies, and the token vocabulary so a saved model is self-contained.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import attnpool, encoder
 from .attnpool import task_attention
-from .encoder import EncoderConfig, encode_batch
+from .encoder import EncoderConfig, encode_batch, require_count
 from .preprocess import RESERVED_TOKENS, TokenSequence, Vocabulary
 from .tensor import (
     Tensor,
@@ -41,7 +40,8 @@ MODE_PROVINCE = "province"
 MODES = (MODE_MTL, MODE_COUNTRY, MODE_PROVINCE)
 
 CHECKPOINT_MAGIC = b"MTLD"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_HEADER = struct.Struct("<4sHI")  # magic, version, config document length
 
 
 class CheckpointError(ValueError):
@@ -62,16 +62,19 @@ class ModelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.hidden_size == 0:
             self.hidden_size = self.encoder.d_model
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be positive")
+        for name in ("hidden_size", "n_countries", "n_provinces"):
+            require_count(name, getattr(self, name))
         if self.has_country and self.n_countries < 2:
             raise ValueError("n_countries must be >= 2 when the country head exists")
         if self.has_province and self.n_provinces < 2:
             raise ValueError("n_provinces must be >= 2 when the province head exists")
         w_c, w_p = self.loss_weights
-        if w_c < 0 or w_p < 0:
-            raise ValueError("loss_weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in (w_c, w_p)):
+            raise ValueError("loss_weights must be finite and nonnegative")
         self.loss_weights = (float(w_c), float(w_p))
+        weights = {"country": w_c, "province": w_p}
+        if not any(weights[task] > 0 for task, _ in self.tasks()):
+            raise ValueError("loss_weights must give at least one present head a positive weight")
 
     @property
     def has_country(self) -> bool:
@@ -223,110 +226,95 @@ def save_checkpoint(
     province_labels: Sequence[str],
     vocab: Vocabulary,
 ) -> None:
-    """Write magic, version, config document, parameters sorted by name, CRC32.
+    """Write magic, version, config document, parameter data, CRC32.
 
-    The trailer is the zlib CRC32 of every preceding byte, as u32 LE. The
-    bytes go to a temporary file that replaces path only once complete,
-    so a failed write leaves any previous checkpoint untouched.
+    The parameter data is each parameter's raw float32 LE values, back to
+    back in param_specs order: the config in the document fixes every
+    name and shape, so none is written. The trailer is the zlib CRC32 of
+    every preceding byte, as u32 LE. The bytes go to a temporary file that
+    replaces path only once complete, so a failed write leaves any
+    previous checkpoint untouched.
     """
     doc = _config_document(model.config, country_labels, province_labels, vocab)
+    body = b"".join(
+        [
+            _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(doc)),
+            doc,
+            *(
+                np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes()
+                for name, _, _ in param_specs(model.config)
+            ),
+        ]
+    )
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            crc = 0
-
-            def write(chunk: bytes) -> None:
-                nonlocal crc
-                f.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-
-            write(CHECKPOINT_MAGIC)
-            write(struct.pack("<H", CHECKPOINT_VERSION))
-            write(struct.pack("<I", len(doc)))
-            write(doc)
-            for name in sorted(model.params):
-                data = model.params[name].data
-                name_b = name.encode("utf-8")
-                write(struct.pack("<I", len(name_b)))
-                write(name_b)
-                write(struct.pack("<B", data.ndim))
-                write(struct.pack(f"<{data.ndim}I", *data.shape))
-                write(np.ascontiguousarray(data, dtype="<f4").tobytes())
-            f.write(struct.pack("<I", crc))
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read_exact(f, n: int, size: int) -> bytes:
-    """n bytes from f; raise, before reading, when fewer than n remain before offset size."""
-    if n > size - f.tell():
-        raise CheckpointError("checkpoint truncated")
-    return f.read(n)
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Rebuild a model; any corruption or shape mismatch raises CheckpointError.
+    """Rebuild a model; any corruption or size mismatch raises CheckpointError.
 
     After magic and version, the CRC32 trailer is checked against the rest
-    of the file. Each parameter's name and shape are checked against the
-    config before its payload is read, so no read exceeds what the config
-    expects; a payload holding inf or nan is rejected.
+    of the file. The parameter data must hold exactly the values the
+    config's param_specs expect, checked before any array is built, and a
+    parameter holding inf or nan is rejected.
     """
     blob = Path(path).read_bytes()
     size = len(blob) - 4  # the CRC32 trailer follows the body
-    with io.BytesIO(blob) as f:
-        if _read_exact(f, 4, size) != CHECKPOINT_MAGIC:
-            raise CheckpointError("not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(f, 2, size))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        if zlib.crc32(memoryview(blob)[:size]) != struct.unpack("<I", blob[size:])[0]:
-            raise CheckpointError("checkpoint checksum mismatch")
-        (doc_len,) = struct.unpack("<I", _read_exact(f, 4, size))
-        try:
-            doc = json.loads(_read_exact(f, doc_len, size).decode("utf-8"))
-        except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
-            raise CheckpointError("corrupt config document") from exc
-        try:
-            m = doc["model"]
-            config = ModelConfig(**{**m, "encoder": EncoderConfig(**m["encoder"])})
-            country_labels = list(doc["country_labels"])
-            province_labels = list(doc["province_labels"])
-            tokens = list(doc["vocab"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"invalid config document: {exc}") from exc
-        if not all(isinstance(entry, str) for entry in country_labels + province_labels + tokens):
-            raise CheckpointError("labels and vocabulary entries must be strings")
-        if tuple(tokens[:3]) != RESERVED_TOKENS:
-            raise CheckpointError("vocabulary must start with the reserved tokens")
-        if len(tokens) != config.encoder.vocab_size:
-            raise CheckpointError(
-                f"vocabulary size {len(tokens)} does not match config {config.encoder.vocab_size}"
-            )
-        params: dict[str, Tensor] = {}
-        expected = {name.encode("utf-8"): (name, shape) for name, shape, _ in param_specs(config)}
-        for _ in range(len(expected)):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, size))
-            name_b = _read_exact(f, name_len, size)
-            if name_b not in expected:
-                raise CheckpointError(f"unexpected parameter {name_b.decode('utf-8', 'replace')!r}")
-            name, shape = expected[name_b]
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, size))
-            stored = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, size))
-            if stored != shape:
-                raise CheckpointError(f"parameter {name!r} has shape {stored}, config expects {shape}")
-            count = math.prod(shape)
-            data = np.frombuffer(_read_exact(f, 4 * count, size), dtype="<f4").reshape(shape)
-            if not np.isfinite(data).all():
-                raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-            params[name] = Tensor(data.astype(np.float32), requires_grad=True)
-        if f.tell() != size:
-            raise CheckpointError("trailing bytes after last parameter")
-    if len(params) != len(expected):
-        raise CheckpointError("checkpoint is missing parameters")
+    if size < _HEADER.size:
+        raise CheckpointError("checkpoint truncated")
+    magic, version, doc_len = _HEADER.unpack_from(blob)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError("not a model checkpoint (bad magic)")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    if zlib.crc32(memoryview(blob)[:size]) != struct.unpack_from("<I", blob, size)[0]:
+        raise CheckpointError("checkpoint checksum mismatch")
+    data_start = _HEADER.size + doc_len
+    if data_start > size:
+        raise CheckpointError("checkpoint truncated")
+    try:
+        doc = json.loads(blob[_HEADER.size : data_start].decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError("corrupt config document") from exc
+    try:
+        m = doc["model"]
+        config = ModelConfig(**{**m, "encoder": EncoderConfig(**m["encoder"])})
+        country_labels = list(doc["country_labels"])
+        province_labels = list(doc["province_labels"])
+        tokens = list(doc["vocab"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid config document: {exc}") from exc
+    if not all(isinstance(entry, str) for entry in country_labels + province_labels + tokens):
+        raise CheckpointError("labels and vocabulary entries must be strings")
+    if tuple(tokens[:3]) != RESERVED_TOKENS:
+        raise CheckpointError("vocabulary must start with the reserved tokens")
+    if len(tokens) != config.encoder.vocab_size:
+        raise CheckpointError(
+            f"vocabulary size {len(tokens)} does not match config {config.encoder.vocab_size}"
+        )
+    specs = param_specs(config)
+    count = sum(math.prod(shape) for _, shape, _ in specs)
+    if size - data_start != 4 * count:
+        raise CheckpointError(
+            f"parameter data holds {size - data_start} bytes, config expects {4 * count}"
+        )
+    values = np.frombuffer(blob, dtype="<f4", count=count, offset=data_start)
+    params: dict[str, Tensor] = {}
+    start = 0
+    for name, shape, _ in specs:
+        data = values[start : start + math.prod(shape)].reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
+        params[name] = Tensor(data.astype(np.float32), requires_grad=True)
+        start += data.size
     vocab = Vocabulary(tokens, min_frequency=1, max_size=len(tokens))
     model = MtlModel(config, params=params)
     return Checkpoint(model=model, country_labels=country_labels, province_labels=province_labels, vocab=vocab)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import hashlib
+import math
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -568,8 +569,8 @@ class Adam:
     """
 
     def __init__(self, params: Mapping[str, Tensor], learning_rate: float = 1e-3):
-        if learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and positive")
         self.params = dict(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .encoder import require_count
+from .encoder import require_count, require_seed
 from .model import MtlModel, compute_loss, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import Adam, NonFiniteGradientError, no_grad
@@ -39,10 +39,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         for name in ("batch_size", "epochs"):
             require_count(name, getattr(self, name))
+        require_seed(self.seed)
 
 
 @dataclass

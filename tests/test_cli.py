@@ -152,9 +152,19 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         ('{"train": {"epochs": 1.5}}', "epochs must be an integer"),
         ('{"encoder": {"n_layers": 1.5}}', "n_layers must be an integer"),
         ('{"encoder": {"l_max": 1}}', "l_max must be >= 2"),
+        # rates and weights are finite, and some head must learn
+        ('{"train": {"learning_rate": NaN}}', "learning_rate must be finite"),
+        ('{"train": {"learning_rate": Infinity}}', "learning_rate must be finite"),
+        ('{"model": {"loss_weights": [NaN, 1.0]}}', "loss_weights must be finite"),
+        ('{"model": {"loss_weights": [Infinity, 1.0]}}', "loss_weights must be finite"),
+        ('{"model": {"loss_weights": [0.0, 0.0]}}', "positive weight"),
+        ('{"model": {"hidden_size": 1.5}}', "hidden_size must be an integer"),
+        ('{"model": {"hidden_size": true}}', "hidden_size must be an integer"),
+        # numpy's generators take no negative seed
+        ("{}", "seed must be a nonnegative integer", "--seed", "-1"),
     ]
     bad = tmp_path / "bad.json"
-    for config, needle in cases:
+    for config, needle, *flags in cases:
         bad.write_text(config, encoding="utf-8")
         code = main(
             [
@@ -163,6 +173,7 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
                 "--dev", str(corpus["dev"]),
                 "--config", str(bad),
                 "--out", str(tmp_path / "o"),
+                *flags,
             ]
         )
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Model assembly: forward wiring, losses, argmax, checkpoints, head isolation."""
 
+import dataclasses
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtlid import model as model_mod
+from mtlid.data import SynthConfig
 from mtlid.encoder import EncoderConfig
 from mtlid.model import (
     MODE_COUNTRY,
@@ -21,11 +23,13 @@ from mtlid.model import (
     _config_document,
     compute_loss,
     load_checkpoint,
+    param_specs,
     predict,
     save_checkpoint,
 )
 from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, build_vocab
-from mtlid.tensor import ShapeError, Tensor, no_grad
+from mtlid.tensor import Adam, ShapeError, Tensor, no_grad
+from mtlid.train import TrainConfig
 
 TOY_ENC = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ff=8, l_max=4, vocab_size=12, dropout_rate=0.0)
 
@@ -308,6 +312,20 @@ def test_checkpoint_round_trip_byte_identical(saved, tmp_path):
         assert np.array_equal(ckpt.model.params[name].data, p.data)
 
 
+def test_checkpoint_layout_is_header_document_data_trailer(saved):
+    # Version 3 stores no parameter name or shape: the config fixes both.
+    path, model, labels_c, labels_p, vocab = saved
+    blob = path.read_bytes()
+    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 3)
+    (doc_len,) = struct.unpack("<I", blob[6:10])
+    assert blob[10 : 10 + doc_len] == _config_document(model.config, labels_c, labels_p, vocab)
+    names = [name for name, _, _ in param_specs(model.config)]
+    data = b"".join(model.params[name].data.astype("<f4").tobytes() for name in names)
+    assert blob[10 + doc_len : -4] == data
+    assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+    assert list(load_checkpoint(path).model.params) == names == list(model.params)
+
+
 def test_checkpoint_truncated_file_rejected(saved):
     path, *_ = saved
     blob = path.read_bytes()
@@ -368,36 +386,54 @@ def test_checkpoint_every_bit_flip_raises(saved):
 
 
 def test_checkpoint_version_1_is_unsupported(saved):
+    # Versions 1 and 2 fail alike: there is one read path, for version 3.
     path, *_ = saved
     blob = path.read_bytes()
-    path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:-4])
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:-4])
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_non_finite_weight_rejected(saved):
     # Bit 30 is the top exponent bit: flipping it turns a gain of 1.0 into inf.
-    path, *_ = saved
+    path, model, *_ = saved
     blob = path.read_bytes()
-    name = b"encoder.layer0.ln1.gain"
-    payload = blob.rindex(name) + len(name) + 1 + 4  # rank u8, one u32 dim
+    (doc_len,) = struct.unpack("<I", blob[6:10])
+    payload = 10 + doc_len
+    for name, shape, _ in param_specs(model.config):
+        if name == "encoder.layer0.ln1.gain":
+            break
+        payload += 4 * math.prod(shape)
     assert struct.unpack("<f", blob[payload : payload + 4]) == (1.0,)
     path.write_bytes(_reseal(_flip(blob, 8 * payload + 30)))
     with pytest.raises(CheckpointError, match=re.escape("'encoder.layer0.ln1.gain' holds a non-finite")):
         load_checkpoint(path)
 
 
-def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved):
-    path, *_ = saved
-    blob = bytearray(path.read_bytes())
+def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved, monkeypatch):
+    # The parameter data must hold exactly the floats the config's shapes
+    # need; a mismatch is caught before any of it is decoded.
+    path, model, labels_c, labels_p, vocab = saved
+    blob = path.read_bytes()
     (doc_len,) = struct.unpack("<I", blob[6:10])
-    first = 10 + doc_len
-    (name_len,) = struct.unpack("<I", blob[first : first + 4])
-    dims = first + 4 + name_len + 1
-    blob[dims : dims + 4] = struct.pack("<I", 2**31)
-    path.write_bytes(_reseal(bytes(blob)))
-    with pytest.raises(CheckpointError, match="shape"):
-        load_checkpoint(path)
+    huge = dataclasses.replace(model.config, encoder=dataclasses.replace(model.config.encoder, d_ff=2**31))
+    claim = _config_document(huge, labels_c, labels_p, vocab)
+    body = blob[:-4]
+    cases = [
+        body[:-4],  # one float short
+        body + body[-4:],  # one float long
+        blob[:6] + struct.pack("<I", len(claim)) + claim + body[10 + doc_len :],
+    ]
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("parameter data decoded despite a size mismatch")
+
+    monkeypatch.setattr(model_mod.np, "frombuffer", no_decoding)
+    for data in cases:
+        path.write_bytes(_reseal(data + bytes(4)))
+        with pytest.raises(CheckpointError, match="parameter data holds"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_rejected(saved):
@@ -428,21 +464,20 @@ def test_config_document_bytes_pinned():
 def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch):
     path, model, labels_c, labels_p, vocab = saved
     before = path.read_bytes()
-    real_pack = struct.pack
+    tmp = path.with_name(path.name + ".tmp")
     calls = []
 
     def failing_pack(*args):
-        calls.append(args)
-        if len(calls) == 10:
-            raise OSError("disk full")
-        return real_pack(*args)
+        # The trailer is packed once the body is written to the temporary file.
+        calls.append(tmp.exists())
+        raise OSError("disk full")
 
     monkeypatch.setattr(model_mod.struct, "pack", failing_pack)
     for p in model.params.values():
         p.data = p.data + 1.0
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, model, labels_c, labels_p, vocab)
-    assert len(calls) == 10
+    assert calls == [True]
     assert path.read_bytes() == before
     assert list(path.parent.iterdir()) == [path]
 
@@ -465,3 +500,17 @@ def test_config_validation_errors():
         ModelConfig(encoder=TOY_ENC, n_countries=1, n_provinces=4)
     with pytest.raises(ValueError, match="nonnegative"):
         ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4, loss_weights=(-1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4, loss_weights=(math.nan, 1.0))
+    with pytest.raises(ValueError, match="positive weight"):
+        ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4, mode=MODE_COUNTRY, loss_weights=(0.0, 1.0))
+    with pytest.raises(ValueError, match="n_countries must be an integer"):
+        ModelConfig(encoder=TOY_ENC, n_countries=2.5, n_provinces=4)
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate=math.inf)
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        Adam({"p": Tensor(np.zeros(2), requires_grad=True)}, learning_rate=math.nan)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        TrainConfig(seed=-3)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        SynthConfig(seed=-1)
