@@ -11,11 +11,9 @@ hull of the unmasked rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .preprocess import TokenSequence, Vocabulary
 from .tensor import (
     Tensor,
     crop,
@@ -60,23 +58,3 @@ def task_attention(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) ->
     v = reshape(matmul(alpha, h), (b, h.shape[-1]))
     return TaskAttentionOutput(v=v, alpha=reshape(alpha, (b, l)))
 
-
-def attention_report(
-    alpha: Tensor | np.ndarray,
-    seqs: Sequence[TokenSequence],
-    vocab: Vocabulary,
-) -> list[list[tuple[str, float]]]:
-    """Per example: (token, weight) for each of its tokens, in position order."""
-    weights = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
-    if weights.shape[0] != len(seqs):
-        raise ValueError(f"alpha rows ({weights.shape[0]}) != batch size ({len(seqs)})")
-    return [
-        [(vocab.token_for(int(i)), float(w)) for i, w in zip(seq.ids, row)]
-        for row, seq in zip(weights, seqs)
-    ]
-
-
-def format_attention_report(report: list[list[tuple[str, float]]]) -> str:
-    """Tab-separated token/weight lines, one blank-line-separated block per example."""
-    blocks = ["\n".join(f"{tok}\t{weight!r}" for tok, weight in example) for example in report]
-    return "\n\n".join(blocks) + "\n"

@@ -22,7 +22,7 @@ from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_ts
 from .encoder import EncoderConfig
 from .model import MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import Vocabulary, build_vocab, clean_text
-from .train import LabelSpaceError, TrainConfig, evaluate, predict_texts, write_confusion, write_history
+from .train import TrainConfig, evaluate, predict_texts, write_confusion, write_history
 
 SEED_ENV_VAR = "MTLID_SEED"
 
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, DataError, LabelSpaceError) as exc:
+    except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures: I/O, corrupt checkpoints, ...

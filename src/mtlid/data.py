@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import require_count, require_seed
+from .tensor import require_count, require_real, require_seed
 from .preprocess import clean_text
 
 
@@ -157,6 +157,7 @@ class SynthConfig:
             "tokens_per_example",
         ):
             require_count(name, getattr(self, name))
+        require_real("signal_strength", self.signal_strength)
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ValueError("signal_strength must lie in [0, 1]")
         require_seed(self.seed)

@@ -9,7 +9,6 @@ Weights are drawn from a name-seeded truncated normal (sigma 0.02, cut at
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +24,8 @@ from .tensor import (
     gelu,
     layer_norm,
     matmul,
+    require_count,
+    require_real,
     reshape,
     scale,
     select,
@@ -32,20 +33,6 @@ from .tensor import (
     tanh,
     transpose,
 )
-
-
-def require_count(name: str, value) -> None:
-    """A config count must be a positive integer; 2.0 and True are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
-
-
-def require_seed(value) -> None:
-    """A seed must be a nonnegative integer, as numpy's generators require."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {value!r}")
 
 
 @dataclass
@@ -67,6 +54,7 @@ class EncoderConfig:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
+        require_real("dropout_rate", self.dropout_rate)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -81,9 +69,9 @@ class EncoderOutput:
 def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Named shapes and init kinds for every encoder parameter.
 
-    The positional table uses per-row seeding so rows shared between two
-    widths are bitwise identical, keeping PAD-tail extension a no-op at
-    real positions.
+    The positional table uses per-row seeding, so the rows that encoders
+    of two l_max share are bitwise identical, and both give the same H at
+    every real position of a batch that fits either.
     """
     d, ff = cfg.d_model, cfg.d_ff
     specs: list[tuple[str, tuple[int, ...], str]] = [

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import attnpool, encoder
 from .attnpool import task_attention
-from .encoder import EncoderConfig, encode_batch, require_count
+from .encoder import EncoderConfig, encode_batch
 from .preprocess import RESERVED_TOKENS, TokenSequence, Vocabulary
 from .tensor import (
     Tensor,
@@ -29,7 +29,10 @@ from .tensor import (
     concat_last,
     cross_entropy_from_logits,
     init_parameters,
+    is_integer,
     matmul,
+    require_count,
+    require_real,
     scale,
     tanh,
 )
@@ -60,7 +63,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.hidden_size == 0:
+        if is_integer(self.hidden_size) and self.hidden_size == 0:
             self.hidden_size = self.encoder.d_model
         for name in ("hidden_size", "n_countries", "n_provinces"):
             require_count(name, getattr(self, name))
@@ -69,7 +72,9 @@ class ModelConfig:
         if self.has_province and self.n_provinces < 2:
             raise ValueError("n_provinces must be >= 2 when the province head exists")
         w_c, w_p = self.loss_weights
-        if not all(math.isfinite(w) and w >= 0 for w in (w_c, w_p)):
+        for w in (w_c, w_p):
+            require_real("loss_weights", w)
+        if w_c < 0 or w_p < 0:
             raise ValueError("loss_weights must be finite and nonnegative")
         self.loss_weights = (float(w_c), float(w_p))
         weights = {"country": w_c, "province": w_p}
@@ -185,10 +190,9 @@ def compute_loss(
     return total, LossReport(country=loss_c, province=loss_p, total=w_c * loss_c + w_p * loss_p)
 
 
-def predict(logits: Tensor | np.ndarray) -> np.ndarray:
+def predict(logits: Tensor) -> np.ndarray:
     """Argmax class ids per row; ties resolve to the lowest index."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return np.argmax(arr, axis=-1)
+    return np.argmax(logits.data, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tensor import require_count
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -55,9 +57,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_for(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
 
 def build_vocab(corpus: Sequence[str], min_frequency: int = 1, max_size: int = 30000) -> Vocabulary:
     """Rank whitespace tokens by (count desc, token asc) and assign ids 3...
@@ -66,8 +65,7 @@ def build_vocab(corpus: Sequence[str], min_frequency: int = 1, max_size: int = 3
     """
     if len(corpus) == 0:
         raise ValueError("build_vocab: empty corpus")
-    if min_frequency < 1:
-        raise ValueError("min_frequency must be >= 1")
+    require_count("min_frequency", min_frequency)
     if max_size < len(RESERVED_TOKENS):
         raise ValueError(f"max_size must be >= {len(RESERVED_TOKENS)}")
     counts: Counter[str] = Counter()

@@ -7,6 +7,10 @@ gradient checks, which are unreliable in 32-bit. backward() writes
 parameters); interior nodes keep ``grad is None``. Leaf gradients
 accumulate across backward() calls until explicitly reset. Inside
 ``no_grad()`` operations record no graph.
+
+The checks every configuration applies to its counts, seeds and rates
+live here too, at the bottom of the import graph, so Adam, the
+vocabulary builder and each config dataclass share them.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import contextlib
 import contextvars
 import hashlib
 import math
+import numbers
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -281,18 +286,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(y, (a,), vjp)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _make(y, (a,), vjp)
-
-
 def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over the last axis restricted to unmasked positions.
 
@@ -314,6 +307,11 @@ def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _make(y, (scores,), vjp)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis: softmax_masked with no position masked."""
+    return softmax_masked(a, np.ones(a.shape[-1], dtype=bool))
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -421,8 +419,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        g_gain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        g_bias = g.sum(axis=lead) if lead else g
+        g_gain = (g * xhat).sum(axis=lead)
+        g_bias = g.sum(axis=lead)
         gt = g * gain.data
         gx = inv * (
             gt
@@ -486,6 +484,36 @@ def cross_entropy_from_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# configuration value checks
+# ---------------------------------------------------------------------------
+
+
+def is_integer(value) -> bool:
+    """An integral number that is not a bool: 2 is, True and 2.0 are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_count(name: str, value) -> None:
+    """A config count must be a positive integer; 2.0 and True are not."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
+def require_seed(value) -> None:
+    """A seed must be a nonnegative integer, as numpy's generators require."""
+    if not is_integer(value) or value < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """A rate or weight must be a finite real number; True and nan are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # parameter initialization and optimization
 # ---------------------------------------------------------------------------
 
@@ -496,18 +524,16 @@ def name_seeded_rng(global_seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
-def trunc_normal(
-    shape: Sequence[int],
-    rng: np.random.Generator,
-    sigma: float = 0.02,
-    dtype=DEFAULT_DTYPE,
-) -> np.ndarray:
-    """Normal(0, sigma) with entries redrawn until all lie within +-2 sigma."""
-    out = rng.normal(0.0, sigma, size=tuple(shape))
-    bad = np.abs(out) > 2.0 * sigma
+INIT_SIGMA = 0.02
+
+
+def trunc_normal(shape: Sequence[int], rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """Normal(0, INIT_SIGMA) with entries redrawn until all lie within +-2 INIT_SIGMA."""
+    out = rng.normal(0.0, INIT_SIGMA, size=tuple(shape))
+    bad = np.abs(out) > 2.0 * INIT_SIGMA
     while bad.any():
-        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * sigma
+        out[bad] = rng.normal(0.0, INIT_SIGMA, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_SIGMA
     return out.astype(dtype)
 
 
@@ -569,7 +595,8 @@ class Adam:
     """
 
     def __init__(self, params: Mapping[str, Tensor], learning_rate: float = 1e-3):
-        if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        require_real("learning_rate", learning_rate)
+        if learning_rate <= 0.0:
             raise ValueError("learning_rate must be finite and positive")
         self.params = dict(params)
         if not self.params:

@@ -14,17 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
-from .encoder import require_count, require_seed
+from .data import DataError, Dataset
 from .model import MtlModel, compute_loss, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
-from .tensor import Adam, NonFiniteGradientError, no_grad
+from .tensor import Adam, NonFiniteGradientError, no_grad, require_count, require_real, require_seed
 
 PAPER_PROTOCOL = {"learning_rate": 1e-5, "batch_size": 16, "epochs": 5}
-
-
-class LabelSpaceError(ValueError):
-    """Dataset labels do not fit the model's class counts."""
 
 
 class DivergenceError(RuntimeError):
@@ -39,7 +34,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        require_real("learning_rate", self.learning_rate)
+        if self.learning_rate <= 0:
             raise ValueError("learning_rate must be finite and positive")
         for name in ("batch_size", "epochs"):
             require_count(name, getattr(self, name))
@@ -115,18 +111,18 @@ def _encode_texts(texts: Sequence[str], vocab: Vocabulary, l_max: int) -> list[T
 def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
     cfg = model.config
     if cfg.has_country and len(dataset.country_labels) > cfg.n_countries:
-        raise LabelSpaceError(
+        raise DataError(
             f"{which}: {len(dataset.country_labels)} country labels exceed model's {cfg.n_countries}"
         )
     if cfg.has_province and len(dataset.province_labels) > cfg.n_provinces:
-        raise LabelSpaceError(
+        raise DataError(
             f"{which}: {len(dataset.province_labels)} province labels exceed model's {cfg.n_provinces}"
         )
     for ex in dataset.examples:
         if cfg.has_country and not 0 <= ex.country < cfg.n_countries:
-            raise LabelSpaceError(f"{which}: country id {ex.country} out of range")
+            raise DataError(f"{which}: country id {ex.country} out of range")
         if cfg.has_province and not 0 <= ex.province < cfg.n_provinces:
-            raise LabelSpaceError(f"{which}: province id {ex.province} out of range")
+            raise DataError(f"{which}: province id {ex.province} out of range")
 
 
 def predict_texts(

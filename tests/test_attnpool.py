@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import max_grad_error
-from mtlid.attnpool import (
-    attention_report,
-    format_attention_report,
-    param_specs,
-    task_attention,
-)
-from mtlid.preprocess import TokenSequence, build_vocab
+from mtlid.attnpool import param_specs, task_attention
 from mtlid.tensor import DegenerateMaskError, Tensor, init_parameters, mul, sum_all
 
 
@@ -120,36 +114,3 @@ def test_gradients_match_finite_differences():
         err = max_grad_error(lambda: loss().item(), p, check, n_samples=30, h=1e-5, atol=1e-9)
         assert err < 1e-4
 
-
-# ---------------------------------------------------------------------------
-# attention report
-# ---------------------------------------------------------------------------
-
-
-def test_report_single_token():
-    vocab = build_vocab(["tok"], 1, 10)
-    seq = TokenSequence(np.array([vocab.token_to_id["tok"]], dtype=np.int64))
-    report = attention_report(np.array([[1.0]]), [seq], vocab)
-    assert report == [[("tok", 1.0)]]
-
-
-def test_report_weights_sum_and_mask():
-    vocab = build_vocab(["a b"], 1, 10)
-    w_a, w_alpha = make_params(d=3, l_max=4)
-    rng = np.random.default_rng(7)
-    h = Tensor(rng.normal(size=(2, 4, 3)), dtype=np.float64)
-    mask = np.array([[True, True, True, False], [True, True, False, False]])
-    out = task_attention(h, mask, w_a, w_alpha)
-    ids = np.array([[2, 3, 4, 0], [2, 4, 0, 0]], dtype=np.int64)
-    seqs = [TokenSequence(ids[i][mask[i]]) for i in range(2)]
-    report = attention_report(out.alpha, seqs, vocab)
-    assert [len(block) for block in report] == [3, 2]  # masked tail absent
-    for block in report:
-        assert abs(sum(w for _, w in block) - 1.0) < 1e-6
-    text = format_attention_report(report)
-    blocks = text.strip().split("\n\n")
-    assert len(blocks) == 2
-    first_line = blocks[0].splitlines()[0].split("\t")
-    assert first_line[0] == "[CLS]"
-    parsed = [float(line.split("\t")[1]) for line in blocks[0].splitlines()]
-    assert abs(sum(parsed) - 1.0) < 1e-6

@@ -145,6 +145,8 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         ('{"encoder": {"bogus_knob": 1}}', "bogus_knob"),
         ('{"encoder": 5}', "'encoder' must be a JSON object"),
         ('{"vocab": {"min_frequency": 0}}', "min_frequency"),
+        ('{"vocab": {"min_frequency": true}}', "min_frequency must be an integer"),
+        ('{"vocab": {"min_frequency": 1.5}}', "min_frequency must be an integer"),
         ('{"encoder": {"vocab_size": 2}}', "max_size"),
         # the seed comes from --seed or MTLID_SEED only
         ('{"train": {"seed": 4}}', "'seed'"),
@@ -155,11 +157,17 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         # rates and weights are finite, and some head must learn
         ('{"train": {"learning_rate": NaN}}', "learning_rate must be finite"),
         ('{"train": {"learning_rate": Infinity}}', "learning_rate must be finite"),
+        # a JSON boolean is not a number
+        ('{"train": {"learning_rate": true}}', "learning_rate must be finite"),
+        ('{"encoder": {"dropout_rate": false}}', "dropout_rate must be finite"),
+        ('{"model": {"loss_weights": [true, false]}}', "loss_weights must be finite"),
         ('{"model": {"loss_weights": [NaN, 1.0]}}', "loss_weights must be finite"),
         ('{"model": {"loss_weights": [Infinity, 1.0]}}', "loss_weights must be finite"),
         ('{"model": {"loss_weights": [0.0, 0.0]}}', "positive weight"),
         ('{"model": {"hidden_size": 1.5}}', "hidden_size must be an integer"),
         ('{"model": {"hidden_size": true}}', "hidden_size must be an integer"),
+        ('{"model": {"hidden_size": false}}', "hidden_size must be an integer"),
+        ('{"model": {"hidden_size": 0.0}}', "hidden_size must be an integer"),
         # numpy's generators take no negative seed
         ("{}", "seed must be a nonnegative integer", "--seed", "-1"),
     ]

@@ -337,6 +337,8 @@ def test_synth_no_signal_models_sit_at_chance():
 def test_synth_config_validation():
     with pytest.raises(ValueError, match="signal_strength"):
         SynthConfig(signal_strength=1.5)
+    with pytest.raises(ValueError, match="signal_strength must be finite"):
+        SynthConfig(signal_strength=True)
     with pytest.raises(ValueError, match="n_countries"):
         SynthConfig(n_countries=0)
     with pytest.raises(ValueError, match="n_countries must be an integer"):

@@ -255,17 +255,17 @@ def test_head_isolation_under_zero_weight():
 
 
 def test_predict_argmax():
-    assert predict(np.array([[0.1, 0.9]]))[0] == 1
+    assert predict(Tensor(np.array([[0.1, 0.9]])))[0] == 1
 
 
 def test_predict_tie_breaks_low_index():
-    assert predict(np.array([[0.5, 0.5]]))[0] == 0
+    assert predict(Tensor(np.array([[0.5, 0.5]])))[0] == 0
 
 
 def test_predict_matches_linear_scan():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(50, 9))
-    preds = predict(logits)
+    preds = predict(Tensor(logits))
     for row, got in zip(logits, preds):
         best = 0
         for j in range(1, 9):
@@ -277,7 +277,7 @@ def test_predict_matches_linear_scan():
 def test_predict_shift_invariant():
     rng = np.random.default_rng(9)
     logits = rng.normal(size=(20, 5))
-    assert np.array_equal(predict(logits), predict(logits + 42.0))
+    assert np.array_equal(predict(Tensor(logits)), predict(Tensor(logits + 42.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +510,8 @@ def test_config_validation_errors():
         TrainConfig(learning_rate=math.inf)
     with pytest.raises(ValueError, match="learning_rate must be finite"):
         Adam({"p": Tensor(np.zeros(2), requires_grad=True)}, learning_rate=math.nan)
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        Adam({"p": Tensor(np.zeros(2), requires_grad=True)}, learning_rate=True)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         TrainConfig(seed=-3)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):

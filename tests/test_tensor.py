@@ -670,7 +670,7 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
 
 def test_trunc_normal_respects_bounds():
     rng = name_seeded_rng(0, "w")
-    arr = trunc_normal((200, 50), rng, sigma=0.02)
+    arr = trunc_normal((200, 50), rng)
     assert np.abs(arr).max() <= 0.04
     assert arr.std() > 0.005
 

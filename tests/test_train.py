@@ -6,14 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from mtlid.data import Dataset, Example, SynthConfig, synth_generate
+from mtlid.data import DataError, Dataset, Example, SynthConfig, synth_generate
 from mtlid.encoder import EncoderConfig
 from mtlid.model import MtlModel, ModelConfig
 from mtlid.preprocess import build_vocab, clean_text
 from mtlid.train import (
     DivergenceError,
     EpochRecord,
-    LabelSpaceError,
     MetricsReport,
     TrainConfig,
     confusion_matrix,
@@ -217,7 +216,7 @@ def test_train_rejects_label_space_mismatch():
         country_labels=[f"c{i}" for i in range(8)],
         province_labels=train_ds.province_labels,
     )
-    with pytest.raises(LabelSpaceError):
+    with pytest.raises(DataError):
         train(model, bad, dev_ds, vocab, TrainConfig(epochs=1))
 
 
