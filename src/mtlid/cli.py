@@ -85,6 +85,20 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
+def _output_dir(path: str, flag: str) -> Path:
+    """An output directory that can be created; checked before any work.
+
+    The path, or its nearest existing ancestor, must be a directory, so a
+    run never finishes its work only to fail at writing. Nothing is
+    created here.
+    """
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"{flag} {path}: {existing} exists and is not a directory")
+    return out
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -104,6 +118,7 @@ def _resolve_seed(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    out = _output_dir(args.out, "--out")
     seed = _resolve_seed(args)
     file_cfg = _load_config_file(args.config)
     train_ds = load_tsv(args.train)
@@ -131,7 +146,6 @@ def cmd_train(args) -> int:
     model = MtlModel(model_cfg, global_seed=seed)
     result = train_mod.train(model, train_ds, dev_ds, vocab, train_cfg)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "model.ckpt"
     hist_path = out / "history.tsv"
@@ -162,6 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    conf_dir = _output_dir(args.confusion, "--confusion") if args.confusion else None
     ckpt = load_checkpoint(args.model)
     dataset = relabel(load_tsv(args.data), ckpt.country_labels, ckpt.province_labels)
     reports = evaluate(ckpt.model, dataset, ckpt.vocab)
@@ -169,8 +184,7 @@ def cmd_eval(args) -> int:
         if task in reports:
             rep = reports[task]
             print(f"{task} f1={100 * rep.macro_f1:.2f} acc={100 * rep.accuracy:.2f}")
-    if args.confusion:
-        conf_dir = Path(args.confusion)
+    if conf_dir is not None:
         conf_dir.mkdir(parents=True, exist_ok=True)
         labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}
         for task, rep in reports.items():

@@ -8,7 +8,6 @@ Weights are drawn from a name-seeded truncated normal (sigma 0.02, cut at
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,20 +17,18 @@ from .preprocess import TokenSequence, stack_sequences
 from .tensor import (
     Tensor,
     add,
+    attention,
+    concat_last,
     crop,
     dropout,
     embedding,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     require_count,
     require_real,
-    reshape,
-    scale,
     select,
-    softmax_masked,
     tanh,
-    transpose,
 )
 
 
@@ -117,31 +114,23 @@ def multi_head_attention(
     params: dict[str, Tensor],
     layer: str,
     n_heads: int,
-) -> tuple[Tensor, Tensor]:
+) -> Tensor:
     """Self-attention over x [B, L, d]; masked keys get exactly zero weight.
 
-    Returns (output [B, L, d], attention probabilities [B, heads, L, L]).
+    The query, key and value weights are concatenated on every call, so
+    one product projects all three and the stored parameters keep their
+    own names and shapes. Returns the output [B, L, d].
     """
-    b, l, d = x.shape
-    dk = d // n_heads
-
-    def project(name: str) -> Tensor:
-        y = add(matmul(x, params[f"{layer}.attn.w{name}"]), params[f"{layer}.attn.b{name}"])
-        return transpose(reshape(y, (b, l, n_heads, dk)), (0, 2, 1, 3))
-
-    q = project("q")
-    k = project("k")
-    v = project("v")
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    att = softmax_masked(scores, mask[:, None, None, :])
-    ctx = transpose(matmul(att, v), (0, 2, 1, 3))
-    out = add(matmul(reshape(ctx, (b, l, d)), params[f"{layer}.attn.wo"]), params[f"{layer}.attn.bo"])
-    return out, att
+    attn = f"{layer}.attn."
+    w = concat_last(concat_last(params[attn + "wq"], params[attn + "wk"]), params[attn + "wv"])
+    b = concat_last(concat_last(params[attn + "bq"], params[attn + "bk"]), params[attn + "bv"])
+    ctx = attention(linear(x, w, b), mask, n_heads)
+    return linear(ctx, params[attn + "wo"], params[attn + "bo"])
 
 
 def _feed_forward(x: Tensor, params: dict[str, Tensor], layer: str) -> Tensor:
-    hidden = gelu(add(matmul(x, params[f"{layer}.ff.w1"]), params[f"{layer}.ff.b1"]))
-    return add(matmul(hidden, params[f"{layer}.ff.w2"]), params[f"{layer}.ff.b2"])
+    hidden = gelu(linear(x, params[f"{layer}.ff.w1"], params[f"{layer}.ff.b1"]))
+    return linear(hidden, params[f"{layer}.ff.w2"], params[f"{layer}.ff.b2"])
 
 
 def encode_batch(
@@ -166,10 +155,10 @@ def encode_batch(
     x = drop(embed(ids, params))
     for i in range(cfg.n_layers):
         layer = f"encoder.layer{i}"
-        attn_out, _ = multi_head_attention(x, mask, params, layer, cfg.n_heads)
-        x = layer_norm(add(x, drop(attn_out)), params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
+        attn_out = multi_head_attention(x, mask, params, layer, cfg.n_heads)
+        x = layer_norm(drop(attn_out), x, params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
         ff_out = _feed_forward(x, params, layer)
-        x = layer_norm(add(x, drop(ff_out)), params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
+        x = layer_norm(drop(ff_out), x, params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
     first = select(x, 0, axis=1)
-    pooled = tanh(add(matmul(first, params["encoder.pooler.w"]), params["encoder.pooler.b"]))
+    pooled = tanh(linear(first, params["encoder.pooler.w"], params["encoder.pooler.b"]))
     return EncoderOutput(h=x, pooled=pooled, mask=mask)

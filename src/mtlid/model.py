@@ -30,7 +30,7 @@ from .tensor import (
     cross_entropy_from_logits,
     init_parameters,
     is_integer,
-    matmul,
+    linear,
     require_count,
     require_real,
     scale,
@@ -151,10 +151,8 @@ class MtlModel:
                 enc.h, enc.mask, self.params[f"{task}_attn.w_a"], self.params[f"{task}_attn.w_alpha"]
             )
             z = concat_last(enc.pooled, att.v)
-            hidden = tanh(add(matmul(z, self.params[f"{task}_cls.w1"]), self.params[f"{task}_cls.b1"]))
-            logits[task] = add(
-                matmul(hidden, self.params[f"{task}_cls.w2"]), self.params[f"{task}_cls.b2"]
-            )
+            hidden = tanh(linear(z, self.params[f"{task}_cls.w1"], self.params[f"{task}_cls.b1"]))
+            logits[task] = linear(hidden, self.params[f"{task}_cls.w2"], self.params[f"{task}_cls.b2"])
         return logits.get("country"), logits.get("province")
 
 

@@ -80,7 +80,9 @@ class Tensor:
         backward() twice doubles leaf gradients and interior nodes keep
         ``grad is None``. A leaf's first gradient is stored as a copy: a
         vjp may pass its input buffer, or a view of it, to several
-        operands, and two leaves must not share one array.
+        operands, and two leaves must not share one array. For the same
+        reason no vjp writes into its input; the fused ones work in place
+        only on arrays they allocated.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -259,6 +261,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, for x [..., k], w [k, n] and b [n].
+
+    The leading axes of x fold into the rows of one 2-D product, and the
+    bias is added to it in place. The backward computes only the
+    gradients of operands that need one.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    y += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _make(y.reshape(*x.shape[:-1], n), (x, w, b), vjp)
+
+
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
@@ -273,17 +299,53 @@ _GELU_C1 = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh formulation."""
+    """Gaussian error linear unit, tanh formulation.
+
+    Forward and backward work in place on one or two temporaries. Each
+    step rounds as the textbook expression 0.5 x (1 + tanh(c0 (x + c1 x^3)))
+    and its derivative do, so the values are the same.
+    """
     x = a.data
-    inner = _GELU_C0 * (x + _GELU_C1 * x * x * x)
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
+    t = x * _GELU_C1
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C0
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
 
     def vjp(g):
-        d_inner = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2))
+        d = x * (3.0 * _GELU_C1)
+        d *= x
+        d += 1.0
+        d *= _GELU_C0
+        gx = t * t
+        np.subtract(1.0, gx, out=gx)
+        gx *= x
+        gx *= 0.5
+        gx *= d
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        gx += d
+        gx *= g
+        return (gx,)
 
     return _make(y, (a,), vjp)
+
+
+def _normalize_rows(s: np.ndarray) -> np.ndarray:
+    """Exponentiate and normalize each last-axis row of s in place.
+
+    Masked entries must already hold -inf: they come out exactly 0. The
+    row maximum is subtracted first, so the exponentials stay in range.
+    """
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
@@ -300,8 +362,7 @@ def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
     kept = np.where(m, scores.data, -np.inf)
     if kept.shape != scores.shape:
         raise ShapeError(f"softmax_masked: mask {m.shape} does not broadcast to scores {scores.shape}")
-    e = np.exp(kept - kept.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _normalize_rows(kept)
 
     def vjp(g):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
@@ -312,6 +373,53 @@ def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis: softmax_masked with no position masked."""
     return softmax_masked(a, np.ones(a.shape[-1], dtype=bool))
+
+
+def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one node.
+
+    qkv [B, L, 3d] holds the query, key and value projections side by
+    side, each split into n_heads heads of d / n_heads. mask [B, L] is
+    true at real positions. As in softmax_masked, masked keys get exactly
+    zero weight and a row with no real key raises DegenerateMaskError.
+    Returns the context [B, L, d] with the heads merged back. The
+    probabilities are normalized in place and kept only for the backward.
+    """
+    if qkv.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
+        raise ShapeError(f"attention: width of {qkv.shape} is not 3 x {n_heads} heads")
+    b, l, width = qkv.shape
+    dk = width // (3 * n_heads)
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != (b, l):
+        raise ShapeError(f"attention: mask {m.shape} does not match [batch, length] of {qkv.shape}")
+    if not m.any(axis=-1).all():
+        raise DegenerateMaskError("attention: a row has every key masked")
+    q, k, v = qkv.data.reshape(b, l, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)  # each [B, H, L, dk]
+    c = 1.0 / math.sqrt(dk)
+    p = np.matmul(q, k.transpose(0, 1, 3, 2))
+    p *= c
+    np.copyto(p, -np.inf, where=~m[:, None, None, :])
+    _normalize_rows(p)
+    out = np.empty((b, l, n_heads, dk), dtype=qkv.dtype)
+    np.matmul(p, v, out=out.transpose(0, 2, 1, 3))
+
+    def vjp(g):
+        g4 = g.reshape(b, l, n_heads, dk)
+        gc = g4.transpose(0, 2, 1, 3)
+        # Each query's sum over keys of dP * P equals its dO . O (FlashAttention's D).
+        d = (g4 * out).sum(axis=-1).transpose(0, 2, 1)[..., None]
+        ds = np.matmul(gc, v.transpose(0, 1, 3, 2))
+        ds -= d
+        ds *= p
+        ds *= c
+        gqkv = np.empty((b, l, 3, n_heads, dk), dtype=qkv.dtype)
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(ds, k, out=gq)
+        np.matmul(ds.transpose(0, 1, 3, 2), q, out=gk)
+        np.matmul(p.transpose(0, 1, 3, 2), gc, out=gv)
+        return (gqkv.reshape(b, l, width),)
+
+    return _make(out.reshape(b, l, width // 3), (qkv,), vjp)
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -393,8 +501,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def vjp(g):
+        # one flat index and row block take ufunc.at's fast 1-D path; the
+        # rows are added in the same order, so the sums are the same
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        np.add.at(gt, ids.ravel(), g.reshape(ids.size, *table.shape[1:]))
         return (gt,)
 
     return _make(data, (table,), vjp)
@@ -403,45 +513,61 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias.
+def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Add and norm: normalize x + residual over the last axis, then apply
+    elementwise gain and bias.
 
-    Each mean is a sum divided by the count, which is what numpy's mean
-    computes, without its Python-level wrapper.
+    The sum is centred and scaled in place. Each mean is a sum divided by
+    the count, which is what numpy's mean computes, without its
+    Python-level wrapper. Both addends receive the same gradient.
     """
+    if residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} does not match {x.shape}")
     n = x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    y = xhat * gain.data + bias.data
+    xhat = x.data + residual.data
+    xhat -= xhat.sum(axis=-1, keepdims=True) / n
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        g_gain = (g * xhat).sum(axis=lead)
+        tmp = g * xhat
+        g_gain = tmp.sum(axis=lead)
         g_bias = g.sum(axis=lead)
-        gt = g * gain.data
-        gx = inv * (
-            gt
-            - gt.sum(axis=-1, keepdims=True) / n
-            - xhat * ((gt * xhat).sum(axis=-1, keepdims=True) / n)
-        )
-        return gx, g_gain, g_bias
+        # inv * (gt - mean(gt) - xhat * mean(gt * xhat)), with gt = g * gain
+        gx = g * gain.data
+        np.multiply(gx, xhat, out=tmp)
+        proj = tmp.sum(axis=-1, keepdims=True) / n
+        gx -= gx.sum(axis=-1, keepdims=True) / n
+        np.multiply(xhat, proj, out=tmp)
+        gx -= tmp
+        gx *= inv
+        return gx, gx, g_gain, g_bias
 
-    return _make(y, (x, gain, bias), vjp)
+    return _make(y, (x, residual, gain, bias), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the survivor mask comes from the caller's rng."""
+    """Inverted dropout; the survivor mask comes from the caller's rng.
+
+    Survivors are scaled by 1/(1-rate) in x's dtype after the mask is
+    applied, which gives the same values as multiplying by the scaled
+    mask keep / (1-rate), from the same draws.
+    """
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
-    m = keep / (1.0 - rate)
-    data = x.data * m
+    keep = rng.random(x.shape) >= rate
+    c = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+    data = x.data * keep
+    data *= c
 
     def vjp(g):
-        return (g * m,)
+        gx = g * keep
+        gx *= c
+        return (gx,)
 
     return _make(data, (x,), vjp)
 

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from mtlid import train as train_mod
 from mtlid.cli import build_parser, main
 from mtlid.data import SynthConfig, save_tsv, synth_generate
 from mtlid.model import load_checkpoint
@@ -140,7 +141,16 @@ def test_seed_env_fallback(corpus, tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"] == 11
 
 
-def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
+def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    reached = []
+
+    def no_training(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("train.train reached")
+
+    monkeypatch.setattr(train_mod, "train", no_training)
     cases = [
         ('{"encoder": {"bogus_knob": 1}}', "bogus_knob"),
         ('{"encoder": 5}', "'encoder' must be a JSON object"),
@@ -170,6 +180,10 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         ('{"model": {"hidden_size": 0.0}}', "hidden_size must be an integer"),
         # numpy's generators take no negative seed
         ("{}", "seed must be a nonnegative integer", "--seed", "-1"),
+        # the output directory is checked before any work: an existing file
+        # or a path under one cannot become the run directory
+        ("{}", "exists and is not a directory", "--out", str(taken)),
+        ("{}", "exists and is not a directory", "--out", str(taken / "run")),
     ]
     bad = tmp_path / "bad.json"
     for config, needle, *flags in cases:
@@ -188,6 +202,8 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys):
         assert code == 2, config
         assert err.startswith("error: ") and needle in err, (config, err)
         assert not (tmp_path / "o").exists()
+    assert reached == []
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_diverging_run_fails_without_artifacts(corpus, tmp_path, capsys):
@@ -279,16 +295,17 @@ def test_eval_deterministic(corpus, trained, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_eval_writes_confusion_matrices(corpus, trained, tmp_path):
+def test_eval_writes_confusion_matrices(corpus, trained, tmp_path, capsys):
     conf_dir = tmp_path / "conf"
-    code = main(
-        [
-            "eval",
-            "--model", str(trained / "model.ckpt"),
-            "--data", str(corpus["test"]),
-            "--confusion", str(conf_dir),
-        ]
-    )
+    args = ["eval", "--model", str(trained / "model.ckpt"), "--data", str(corpus["test"])]
+    # a confusion path that cannot be a directory fails before any scoring
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    assert main([*args, "--confusion", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --confusion") and "not a directory" in err, err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+    code = main([*args, "--confusion", str(conf_dir)])
     assert code == 0
     country = (conf_dir / "confusion_country.tsv").read_text(encoding="utf-8").splitlines()
     assert country[0].split("\t") == ["c00", "c01"]

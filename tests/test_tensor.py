@@ -14,6 +14,7 @@ from mtlid.tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     concat_last,
     crop,
     cross_entropy_from_logits,
@@ -21,6 +22,7 @@ from mtlid.tensor import (
     embedding,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mul,
     name_seeded_rng,
@@ -528,12 +530,50 @@ def test_grad_embedding():
     _check(lambda ps: _weighted_sum(embedding(ps[0], ids)), [(5, 3)], 12)
 
 
+def test_embedding_gradient_matches_indexed_add_at_bitwise():
+    rng = np.random.default_rng(32)
+    table = Tensor(rng.normal(size=(7, 5)).astype(np.float32), requires_grad=True)
+    ids = rng.integers(0, 7, size=(4, 9))  # every row repeats
+    g = rng.normal(size=(4, 9, 5)).astype(np.float32)
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids, g)
+    assert np.array_equal(embedding(table, ids)._vjp(g)[0], want)
+
+
 def test_grad_layer_norm():
     _check(
-        lambda ps: _weighted_sum(layer_norm(ps[0], ps[1], ps[2])),
-        [(3, 6), (6,), (6,)],
+        lambda ps: _weighted_sum(layer_norm(ps[0], ps[1], ps[2], ps[3])),
+        [(3, 6), (3, 6), (6,), (6,)],
         13,
     )
+
+
+def test_grad_linear():
+    # 3-D and 2-D inputs fold into one 2-D product
+    for shapes in ([(2, 3, 4), (4, 5), (5,)], [(3, 4), (4, 2), (2,)]):
+        _check(lambda ps: _weighted_sum(linear(ps[0], ps[1], ps[2])), shapes, 18)
+
+
+def test_grad_linear_input_without_gradient():
+    rng = np.random.default_rng(19)
+    x = t64(rng.normal(size=(2, 3, 4)))
+    w = t64(rng.normal(size=(4, 5)), requires_grad=True)
+    b = t64(rng.normal(size=5), requires_grad=True)
+    out = linear(x, w, b)
+    assert out._vjp(np.ones(out.shape))[0] is None
+    _weighted_sum(out).backward()
+    assert x.grad is None
+    check_rng = np.random.default_rng(20)
+    for p in (w, b):
+        err = max_grad_error(lambda: _weighted_sum(linear(x, w, b)).item(), p, check_rng, 25, 1e-5, atol=1e-10)
+        assert err < _RTOL, f"gradient mismatch: {err}"
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_grad_attention(n_heads):
+    # the second row is padded: its last two keys are masked
+    mask = np.array([[True, True, True, True], [True, True, False, False]])
+    _check(lambda ps: _weighted_sum(attention(ps[0], mask, n_heads)), [(2, 4, 12)], 21 + n_heads)
 
 
 def test_grad_cross_entropy():
@@ -574,6 +614,23 @@ def test_dropout_grad_matches_mask():
     np.testing.assert_allclose(x.grad[~kept], 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_matches_scaled_mask_formula_bitwise(dtype):
+    # the formula dropout used before it scaled in place: x * (keep / (1 - rate))
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(4, 5, 6)).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    # at 0.15, 1/(1-rate) rounds differently in float64 and in float32
+    for rate in (0.1, 0.15, 0.3, 0.5):
+        mine, ref = np.random.default_rng(25), np.random.default_rng(25)
+        out = dropout(Tensor(x, requires_grad=True), rate, mine)
+        m = (ref.random(x.shape) >= rate).astype(dtype) / (1.0 - rate)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, x * m)
+        assert np.array_equal(out._vjp(g)[0], g * m)
+        assert mine.random() == ref.random()  # the same draws were consumed
+
+
 def test_dropout_deterministic_under_seeded_rng():
     x = Tensor(np.ones((8, 8), dtype=np.float32))
     a = dropout(x, 0.3, np.random.default_rng(42)).data
@@ -590,6 +647,19 @@ def test_transpose_inverse_matches_argsort_for_every_permutation():
         g = np.arange(out.data.size, dtype=np.float64).reshape(out.shape)
         (ga,) = out._vjp(g)
         assert np.array_equal(ga, np.transpose(g, np.argsort(axes)))
+
+
+def test_gelu_matches_textbook_expression_bitwise():
+    rng = np.random.default_rng(26)
+    for dtype in (np.float32, np.float64):
+        x = (rng.normal(size=(3, 7, 16)) * 3.0).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        c0, c1 = math.sqrt(2.0 / math.pi), 0.044715
+        t = np.tanh(c0 * (x + c1 * x * x * x))
+        d_inner = c0 * (1.0 + 3.0 * c1 * x * x)
+        out = gelu(Tensor(x, requires_grad=True))
+        assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
+        assert np.array_equal(out._vjp(g)[0], g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
 
 
 def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
@@ -614,12 +684,113 @@ def test_layer_norm_matches_mean_based_reference_bitwise(dtype, shape):
     gain = rng.normal(size=shape[-1]).astype(dtype)
     bias = rng.normal(size=shape[-1]).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    out = layer_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True))
-    y, gx, g_gain, g_bias = _layer_norm_reference(x, gain, bias, g)
+    residual = rng.normal(size=shape).astype(dtype)
+    out = layer_norm(
+        Tensor(x, requires_grad=True),
+        Tensor(residual, requires_grad=True),
+        Tensor(gain, requires_grad=True),
+        Tensor(bias, requires_grad=True),
+    )
+    y, gx, g_gain, g_bias = _layer_norm_reference(x + residual, gain, bias, g)
     assert out.data.dtype == dtype
     assert np.array_equal(out.data, y)
-    for got, want in zip(out._vjp(g), (gx, g_gain, g_bias)):
+    for got, want in zip(out._vjp(g), (gx, gx, g_gain, g_bias)):
         assert np.array_equal(got, want)
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(x), Tensor(residual[..., :1]), Tensor(gain), Tensor(bias))
+
+
+# ---------------------------------------------------------------------------
+# fused primitives against the composed graphs they replace
+# ---------------------------------------------------------------------------
+
+# float32 bound for a fused op against its composed reference on O(1)
+# inputs: the products sum in another order, so results differ by a few
+# units in the last place of float32 (eps 1.2e-7), far inside this.
+_F32_PARITY = dict(rtol=1e-5, atol=1e-6)
+
+
+def _attention_reference(q, k, v, mask, n_heads):
+    """Attention composed of separate ops: (context [B, L, d], probabilities)."""
+    b, l, d = q.shape
+    dk = d // n_heads
+
+    def heads(t):
+        return transpose(reshape(t, (b, l, n_heads, dk)), (0, 2, 1, 3))
+
+    scores = scale(matmul(heads(q), transpose(heads(k), (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
+    probs = softmax_masked(scores, mask[:, None, None, :])
+    ctx = transpose(matmul(probs, heads(v)), (0, 2, 1, 3))
+    return reshape(ctx, (b, l, d)), probs
+
+
+def _assert_parity(pairs, dtype):
+    for got, want in pairs:
+        assert got.dtype == dtype
+        if dtype == np.float64:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(got, want, **_F32_PARITY)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(3, 4, 8), (5, 8)])
+def test_linear_matches_matmul_add(dtype, x_shape):
+    rng = np.random.default_rng(27)
+    arrays = [rng.normal(size=s).astype(dtype) for s in (x_shape, (8, 6), (6,))]
+    fused = [Tensor(a, requires_grad=True) for a in arrays]
+    ref = [Tensor(a, requires_grad=True) for a in arrays]
+    out = linear(*fused)
+    ref_out = add(matmul(ref[0], ref[1]), ref[2])
+    _weighted_sum(out).backward()
+    _weighted_sum(ref_out).backward()
+    _assert_parity([(out.data, ref_out.data)] + [(f.grad, r.grad) for f, r in zip(fused, ref)], dtype)
+
+
+_PADDED = np.array([[True] * 6, [True] * 4 + [False] * 2, [True] + [False] * 5])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_matches_composed_reference(dtype, n_heads):
+    rng = np.random.default_rng(29)
+    q, k, v = (rng.normal(size=(3, 6, 8)).astype(dtype) for _ in range(3))
+    qkv = Tensor(np.concatenate([q, k, v], axis=-1), requires_grad=True)
+    ref = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = attention(qkv, _PADDED, n_heads)
+    ref_out, probs = _attention_reference(*ref, _PADDED, n_heads)
+    # the reference's rows are distributions over the real keys
+    np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
+    assert np.all(probs.data[np.broadcast_to(~_PADDED[:, None, None, :], probs.shape)] == 0.0)
+    _weighted_sum(out).backward()
+    _weighted_sum(ref_out).backward()
+    ref_grad = np.concatenate([p.grad for p in ref], axis=-1)
+    _assert_parity([(out.data, ref_out.data), (qkv.grad, ref_grad)], dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_rows_are_distributions_over_real_keys(dtype):
+    rng = np.random.default_rng(30)
+    qkv = rng.normal(scale=3.0, size=(3, 6, 24)).astype(dtype)
+    qkv[..., 16:] = 1.0  # every value row is ones, so each output is its row's weight sum
+    out = attention(Tensor(qkv), _PADDED, 2).data
+    np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-6 if dtype == np.float32 else 1e-12)
+    # keys and values at masked positions get exactly zero weight
+    moved = qkv.copy()
+    moved[..., 8:][~_PADDED] = rng.normal(scale=100.0, size=moved[..., 8:][~_PADDED].shape)
+    assert np.array_equal(attention(Tensor(moved), _PADDED, 2).data, out)
+
+
+def test_attention_rejects_degenerate_mask_and_bad_width():
+    qkv = Tensor(np.zeros((2, 3, 12)))
+    mask = np.array([[True, True, False], [False, False, False]])
+    with pytest.raises(DegenerateMaskError):
+        attention(qkv, mask, 2)
+    for width, n_heads in ((10, 2), (12, 5), (9, 2)):
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.zeros((2, 3, width))), np.ones((2, 3), dtype=bool), n_heads)
+    with pytest.raises(ShapeError):
+        attention(qkv, np.ones((2, 4), dtype=bool), 2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -637,11 +808,13 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
         "scale": scale(t(2, 3), 0.5),
         "scale_0d": scale(sum_all(t(2)), 0.5),
         "matmul": matmul(t(2, 3), t(3, 4)),
+        "linear": linear(t(2, 2, 3), t(3, 4), t(4)),
         "tanh": tanh(t(2, 3)),
         "tanh_0d": tanh(sum_all(t(2))),
         "gelu": gelu(t(2, 3)),
         "softmax": softmax(t(2, 3)),
         "softmax_masked": softmax_masked(t(2, 3), mask),
+        "attention": attention(t(2, 3, 6), mask, 1),
         "concat_last": concat_last(t(2, 3), t(2, 1)),
         "crop": crop(t(4, 3), (2, 3)),
         "select": select(t(2, 3), 1, axis=0),
@@ -649,7 +822,7 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
         "reshape": reshape(t(2, 3), (3, 2)),
         "transpose": transpose(t(2, 3), (1, 0)),
         "embedding": embedding(t(5, 3), np.array([[0, 4], [2, 2]])),
-        "layer_norm": layer_norm(t(2, 3), t(3), t(3)),
+        "layer_norm": layer_norm(t(2, 3), t(2, 3), t(3), t(3)),
         "dropout": dropout(t(2, 3), 0.5, np.random.default_rng(0)),
         "sum_all": sum_all(t(2, 3)),
         "cross_entropy": cross_entropy_from_logits(t(2, 3), np.array([0, 2])),
