@@ -24,8 +24,6 @@ from .model import MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoin
 from .preprocess import Vocabulary, build_vocab, clean_text
 from .train import TrainConfig, evaluate, predict_texts, write_confusion, write_history
 
-SEED_ENV_VAR = "MTLID_SEED"
-
 # Settings the command line fixes (max_size comes from encoder.vocab_size);
 # a config file may not set them.
 _CLI_OWNED = {"mode", "n_countries", "n_provinces", "seed", "max_size"}
@@ -85,7 +83,7 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def _output_dir(path: str, flag: str) -> Path:
+def _output_dir(path: str | Path, flag: str) -> Path:
     """An output directory that can be created; checked before any work.
 
     The path, or its nearest existing ancestor, must be a directory, so a
@@ -99,18 +97,6 @@ def _output_dir(path: str, flag: str) -> Path:
     return out
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -119,7 +105,6 @@ def _resolve_seed(args) -> int:
 def cmd_train(args) -> int:
     started = time.monotonic()
     out = _output_dir(args.out, "--out")
-    seed = _resolve_seed(args)
     file_cfg = _load_config_file(args.config)
     train_ds = load_tsv(args.train)
     dev_ds = relabel(load_tsv(args.dev), train_ds.country_labels, train_ds.province_labels)
@@ -136,14 +121,11 @@ def cmd_train(args) -> int:
             mode=args.mode,
             **file_cfg.get("model", {}),
         )
-        train_kwargs = {**file_cfg.get("train", {}), "seed": seed}
-        if args.paper_protocol:
-            train_kwargs.update(train_mod.PAPER_PROTOCOL)
-        train_cfg = TrainConfig(**train_kwargs)
+        train_cfg = TrainConfig(**file_cfg.get("train", {}), seed=args.seed)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
 
-    model = MtlModel(model_cfg, global_seed=seed)
+    model = MtlModel(model_cfg, global_seed=args.seed)
     result = train_mod.train(model, train_ds, dev_ds, vocab, train_cfg)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -155,7 +137,7 @@ def cmd_train(args) -> int:
     manifest = {
         "command": "train",
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "resolved_config": {
             "encoder": model_doc.pop("encoder"),
             "model": model_doc,
@@ -168,6 +150,7 @@ def cmd_train(args) -> int:
             "config": {"path": str(args.config), "sha256": _sha256(args.config)},
         },
         "artifacts": {"checkpoint": str(ckpt_path), "history": str(hist_path)},
+        "flagged_ids": {"train": train_ds.flagged_ids, "dev": dev_ds.flagged_ids},
         "best_epoch": result.best_epoch,
         "duration_seconds": time.monotonic() - started,
     }
@@ -193,6 +176,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out = Path(args.out)
+    if out.is_dir():
+        raise UsageError(f"--out {args.out}: is a directory")
+    _output_dir(out.parent, "--out")
     ckpt = load_checkpoint(args.model)
     rows = load_texts(args.infile)
     preds = predict_texts(ckpt.model, ckpt.vocab, [text for _, text in rows])
@@ -201,7 +188,8 @@ def cmd_predict(args) -> int:
     for i, (ex_id, _) in enumerate(rows):
         names = [labels[task][preds[task][i]] if task in preds else "NA" for task in labels]
         lines.append("\t".join([ex_id, *names]) + "\n")
-    Path(args.out).write_text("".join(lines), encoding="utf-8")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("".join(lines), encoding="utf-8")
     return 0
 
 
@@ -215,12 +203,12 @@ def cmd_distribution(args) -> int:
 
 def cmd_synth(args) -> int:
     started = time.monotonic()
+    out = _output_dir(args.out, "--out")
     try:
         config = SynthConfig(**{name: getattr(args, name) for name in _settings(SynthConfig)})
     except ValueError as exc:
         raise UsageError(f"invalid synthesis settings: {exc}") from exc
     splits = synth_generate(config)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, ds in zip(("train", "dev", "test"), splits):
@@ -257,12 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="JSON config covering encoder/model/train")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--mode", choices=MODES, default="mtl")
-    p_train.add_argument("--seed", type=int, default=None, help=f"global seed (falls back to ${SEED_ENV_VAR})")
-    p_train.add_argument(
-        "--paper-protocol",
-        action="store_true",
-        help="use the reference protocol: lr 1e-5, batch 16, 5 epochs",
-    )
+    p_train.add_argument("--seed", type=int, default=0, help="global seed")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="print per-task accuracy and macro-F1 percentages")

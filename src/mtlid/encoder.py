@@ -145,20 +145,16 @@ def encode_batch(
     The batch is stacked once here; its mask travels on in the output.
     """
     ids, mask = stack_sequences(seqs)
-    use_dropout = train_mode and cfg.dropout_rate > 0.0
-    if use_dropout and rng is None:
+    rate = cfg.dropout_rate if train_mode else 0.0
+    if rate > 0.0 and rng is None:
         raise ValueError("encode_batch: train-mode dropout needs an rng")
-
-    def drop(t: Tensor) -> Tensor:
-        return dropout(t, cfg.dropout_rate, rng) if use_dropout else t
-
-    x = drop(embed(ids, params))
+    x = dropout(embed(ids, params), rate, rng)
     for i in range(cfg.n_layers):
         layer = f"encoder.layer{i}"
-        attn_out = multi_head_attention(x, mask, params, layer, cfg.n_heads)
-        x = layer_norm(drop(attn_out), x, params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
-        ff_out = _feed_forward(x, params, layer)
-        x = layer_norm(drop(ff_out), x, params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
+        attn_out = dropout(multi_head_attention(x, mask, params, layer, cfg.n_heads), rate, rng)
+        x = layer_norm(attn_out, x, params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
+        ff_out = dropout(_feed_forward(x, params, layer), rate, rng)
+        x = layer_norm(ff_out, x, params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
     first = select(x, 0, axis=1)
     pooled = tanh(linear(first, params["encoder.pooler.w"], params["encoder.pooler.b"]))
     return EncoderOutput(h=x, pooled=pooled, mask=mask)

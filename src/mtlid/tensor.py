@@ -336,12 +336,17 @@ def gelu(a: Tensor) -> Tensor:
     return _make(y, (a,), vjp)
 
 
-def _normalize_rows(s: np.ndarray) -> np.ndarray:
-    """Exponentiate and normalize each last-axis row of s in place.
+def _masked_softmax_rows(s: np.ndarray, keep: np.ndarray, op: str) -> np.ndarray:
+    """Softmax of each last-axis row of s over its kept positions, in place.
 
-    Masked entries must already hold -inf: they come out exactly 0. The
-    row maximum is subtracted first, so the exponentials stay in range.
+    keep is a bool mask that broadcasts to s. Masked entries are set to
+    -inf, so they come out exactly 0, and the row maximum is subtracted
+    before exponentiating, so the exponentials stay in range. Raises
+    DegenerateMaskError, before writing to s, when a row keeps nothing.
     """
+    if not keep.any(axis=-1).all():
+        raise DegenerateMaskError(f"{op}: a row has every position masked")
+    np.copyto(s, -np.inf, where=~keep)
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
@@ -351,18 +356,19 @@ def _normalize_rows(s: np.ndarray) -> np.ndarray:
 def softmax_masked(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax over the last axis restricted to unmasked positions.
 
-    mask broadcasts against the scores. Masked positions are set to -inf,
-    so they come out exactly 0; unmasked outputs are positive and sum to 1
-    per row. Max-subtraction keeps the exponentials in range. Raises
-    DegenerateMaskError when a row has no unmasked position.
+    mask broadcasts to the scores' shape (ShapeError otherwise). Masked
+    positions come out exactly 0; unmasked outputs are positive and sum
+    to 1 per row. Raises DegenerateMaskError when a row has no unmasked
+    position.
     """
     m = np.asarray(mask, dtype=bool)
-    if not m.any(axis=-1).all():
-        raise DegenerateMaskError("softmax_masked: a row has every position masked")
-    kept = np.where(m, scores.data, -np.inf)
-    if kept.shape != scores.shape:
+    try:
+        fits = np.broadcast(m, scores.data).shape == scores.shape
+    except ValueError:
+        fits = False
+    if not fits:
         raise ShapeError(f"softmax_masked: mask {m.shape} does not broadcast to scores {scores.shape}")
-    y = _normalize_rows(kept)
+    y = _masked_softmax_rows(scores.data.copy(), m, "softmax_masked")
 
     def vjp(g):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
@@ -392,14 +398,11 @@ def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
     m = np.asarray(mask, dtype=bool)
     if m.shape != (b, l):
         raise ShapeError(f"attention: mask {m.shape} does not match [batch, length] of {qkv.shape}")
-    if not m.any(axis=-1).all():
-        raise DegenerateMaskError("attention: a row has every key masked")
     q, k, v = qkv.data.reshape(b, l, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)  # each [B, H, L, dk]
     c = 1.0 / math.sqrt(dk)
     p = np.matmul(q, k.transpose(0, 1, 3, 2))
     p *= c
-    np.copyto(p, -np.inf, where=~m[:, None, None, :])
-    _normalize_rows(p)
+    _masked_softmax_rows(p, m[:, None, None, :], "attention")
     out = np.empty((b, l, n_heads, dk), dtype=qkv.dtype)
     np.matmul(p, v, out=out.transpose(0, 2, 1, 3))
 
@@ -550,8 +553,10 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> Tenso
     return _make(y, (x, residual, gain, bias), vjp)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; the survivor mask comes from the caller's rng.
+
+    At rate 0 it returns x itself and draws nothing, so rng may be None.
 
     Survivors are scaled by 1/(1-rate) in x's dtype after the mask is
     applied, which gives the same values as multiplying by the scaled

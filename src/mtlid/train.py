@@ -19,8 +19,6 @@ from .model import MtlModel, compute_loss, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import Adam, NonFiniteGradientError, no_grad, require_count, require_real, require_seed
 
-PAPER_PROTOCOL = {"learning_rate": 1e-5, "batch_size": 16, "epochs": 5}
-
 
 class DivergenceError(RuntimeError):
     """A training step's loss or a parameter's gradient is not finite."""

@@ -4,10 +4,11 @@ import hashlib
 import json
 import re
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
-from mtlid import train as train_mod
+from mtlid import cli, train as train_mod
 from mtlid.cli import build_parser, main
 from mtlid.data import SynthConfig, save_tsv, synth_generate
 from mtlid.model import load_checkpoint
@@ -81,6 +82,7 @@ def test_train_writes_artifacts(trained):
     assert manifest["seed"] == 3
     assert manifest["resolved_config"]["train"]["epochs"] == 2
     assert set(manifest["inputs"]) == {"train", "dev", "config"}
+    assert manifest["flagged_ids"] == {"train": [], "dev": []}
     for entry in manifest["inputs"].values():
         assert re.fullmatch(r"[0-9a-f]{64}", entry["sha256"])
     assert manifest["duration_seconds"] > 0
@@ -106,39 +108,40 @@ def test_train_determinism_byte_identical_history(corpus, tmp_path, trained):
     assert (trained / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
 
 
-def test_paper_protocol_resolves_reference_settings(corpus, tmp_path):
-    out = tmp_path / "pp"
-    code = main(
-        [
-            "train",
-            "--train", str(corpus["train"]),
-            "--dev", str(corpus["dev"]),
-            "--config", str(corpus["config"]),
-            "--out", str(out),
-            "--paper-protocol",
-        ]
-    )
-    assert code == 0
-    resolved = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["resolved_config"]["train"]
-    assert resolved["learning_rate"] == 1e-5
-    assert resolved["batch_size"] == 16
-    assert resolved["epochs"] == 5
+def test_readme_paper_protocol_block_resolves_reference_settings(corpus, tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```json\n(.*?)^```", readme, re.S | re.M).group(1)
+    config = dict(CONFIG, **json.loads(block))
+    cfg_path = tmp_path / "paper.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    args = [
+        "train",
+        "--train", str(corpus["train"]),
+        "--dev", str(corpus["dev"]),
+        "--config", str(cfg_path),
+    ]
+    assert main([*args, "--out", str(tmp_path / "pp")]) == 0
+    resolved = json.loads((tmp_path / "pp" / "manifest.json").read_text(encoding="utf-8"))["resolved_config"]["train"]
+    assert (resolved["learning_rate"], resolved["batch_size"], resolved["epochs"]) == (1e-5, 16, 5)
+    # the config file is the one channel for training settings
+    assert main([*args, "--out", str(tmp_path / "flag"), "--paper-protocol"]) == 2
+    assert "--paper-protocol" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
 
 
-def test_seed_env_fallback(corpus, tmp_path, monkeypatch):
-    monkeypatch.setenv("MTLID_SEED", "11")
-    out = tmp_path / "env"
-    code = main(
-        [
-            "train",
-            "--train", str(corpus["train"]),
-            "--dev", str(corpus["dev"]),
-            "--config", str(corpus["config"]),
-            "--out", str(out),
-        ]
-    )
+def test_manifest_records_rows_empty_after_cleaning(corpus, tmp_path):
+    # a text of diacritics alone cleans to nothing: the row trains as [CLS]
+    # alone and the manifest names it, per split
+    train = tmp_path / "train.tsv"
+    train.write_text(corpus["train"].read_text(encoding="utf-8") + "e1\t\u064b\u064c\tc00\tc00p00\n", encoding="utf-8")
+    dev = tmp_path / "dev.tsv"
+    dev.write_text(corpus["dev"].read_text(encoding="utf-8") + "e2\t\u0640\tc01\tc01p00\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["train", "--train", str(train), "--dev", str(dev), "--config", str(corpus["config"]), "--out", str(out)])
     assert code == 0
-    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"] == 11
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["flagged_ids"] == {"train": ["e1"], "dev": ["e2"]}
+    assert manifest["seed"] == 0
 
 
 def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
@@ -158,7 +161,7 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
         ('{"vocab": {"min_frequency": true}}', "min_frequency must be an integer"),
         ('{"vocab": {"min_frequency": 1.5}}', "min_frequency must be an integer"),
         ('{"encoder": {"vocab_size": 2}}', "max_size"),
-        # the seed comes from --seed or MTLID_SEED only
+        # the seed comes from --seed only
         ('{"train": {"seed": 4}}', "'seed'"),
         # counts are integers, and a sequence holds at least [CLS] and one token
         ('{"train": {"epochs": 1.5}}', "epochs must be an integer"),
@@ -333,7 +336,7 @@ def test_eval_unreadable_model_exit_1(tmp_path, corpus):
 
 
 def test_predict_writes_labels(corpus, trained, tmp_path):
-    out = tmp_path / "preds.tsv"
+    out = tmp_path / "new" / "preds.tsv"  # a missing output directory is created
     code = main(["predict", "--model", str(trained / "model.ckpt"), "--in", str(corpus["test"]), "--out", str(out)])
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -360,6 +363,31 @@ def test_predict_handles_unknown_tokens(trained, tmp_path):
     out = tmp_path / "preds.tsv"
     assert main(["predict", "--model", str(trained / "model.ckpt"), "--in", str(src), "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_predict_bad_out_is_usage_error(corpus, trained, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    reached = []
+
+    def no_prediction(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("predict_texts reached")
+
+    monkeypatch.setattr(cli, "predict_texts", no_prediction)
+    # the output is checked before the checkpoint loads: an existing
+    # directory, or a file under an existing file, cannot be written
+    for out, needle in (
+        (tmp_path, "is a directory"),
+        (taken / "p.tsv", "exists and is not a directory"),
+        (taken / "sub" / "p.tsv", "exists and is not a directory"),
+    ):
+        code = main(["predict", "--model", str(trained / "model.ckpt"), "--in", str(corpus["test"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, out
+        assert err.startswith("error: ") and needle in err, (out, err)
+    assert reached == []
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_predict_unreadable_model_exit_1(tmp_path, corpus):
@@ -405,6 +433,25 @@ def test_synth_same_seed_identical_digests(tmp_path):
     for split in ("train", "dev", "test"):
         assert man_a["artifacts"][split]["sha256"] == man_b["artifacts"][split]["sha256"]
         assert sha(tmp_path / "a" / f"{split}.tsv") == man_a["artifacts"][split]["sha256"]
+
+
+def test_synth_bad_out_is_usage_error(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    reached = []
+
+    def no_generation(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("synth_generate reached")
+
+    monkeypatch.setattr(cli, "synth_generate", no_generation)
+    for out in (taken, taken / "sub"):
+        code = main(["synth", "--examples-per-province", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, out
+        assert err.startswith("error: ") and "exists and is not a directory" in err, (out, err)
+    assert reached == []
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_synth_output_trains(tmp_path, corpus):
