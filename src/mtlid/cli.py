@@ -66,8 +66,6 @@ def _write_manifest(path: Path, payload: dict) -> None:
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -81,6 +79,14 @@ def _load_config_file(path: str) -> dict:
         if unknown:
             raise UsageError(f"config {path}: unknown keys in {section!r}: {sorted(unknown)}")
     return raw
+
+
+def _input_file(path: str, flag: str) -> Path:
+    """A data or config input that is a readable file; checked before any work."""
+    src = Path(path)
+    if not (src.is_file() and os.access(src, os.R_OK)):
+        raise UsageError(f"{flag} {path}: not a readable file")
+    return src
 
 
 def _output_dir(path: str | Path, flag: str) -> Path:
@@ -105,6 +111,11 @@ def _output_dir(path: str | Path, flag: str) -> Path:
 def cmd_train(args) -> int:
     started = time.monotonic()
     out = _output_dir(args.out, "--out")
+    # digested before any work: an input edited while the run trains is recorded as it was
+    inputs = {
+        name: {"path": path, "sha256": _sha256(_input_file(path, f"--{name}"))}
+        for name, path in (("train", args.train), ("dev", args.dev), ("config", args.config))
+    }
     file_cfg = _load_config_file(args.config)
     train_ds = load_tsv(args.train)
     dev_ds = relabel(load_tsv(args.dev), train_ds.country_labels, train_ds.province_labels)
@@ -116,8 +127,8 @@ def cmd_train(args) -> int:
         vocab = build_vocab(texts, max_size=vocab_cap, **file_cfg.get("vocab", {}))
         model_cfg = ModelConfig(
             encoder=EncoderConfig(vocab_size=len(vocab), **enc_kwargs),
-            n_countries=max(2, len(train_ds.country_labels)),
-            n_provinces=max(2, len(train_ds.province_labels)),
+            n_countries=len(train_ds.country_labels),
+            n_provinces=len(train_ds.province_labels),
             mode=args.mode,
             **file_cfg.get("model", {}),
         )
@@ -144,11 +155,7 @@ def cmd_train(args) -> int:
             "train": asdict(train_cfg),
             "vocab": {name: getattr(vocab, name) for name in _settings(Vocabulary)},
         },
-        "inputs": {
-            "train": {"path": str(args.train), "sha256": _sha256(args.train)},
-            "dev": {"path": str(args.dev), "sha256": _sha256(args.dev)},
-            "config": {"path": str(args.config), "sha256": _sha256(args.config)},
-        },
+        "inputs": inputs,
         "artifacts": {"checkpoint": str(ckpt_path), "history": str(hist_path)},
         "flagged_ids": {"train": train_ds.flagged_ids, "dev": dev_ds.flagged_ids},
         "best_epoch": result.best_epoch,
@@ -160,13 +167,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     conf_dir = _output_dir(args.confusion, "--confusion") if args.confusion else None
+    data = _input_file(args.data, "--data")
     ckpt = load_checkpoint(args.model)
-    dataset = relabel(load_tsv(args.data), ckpt.country_labels, ckpt.province_labels)
+    dataset = relabel(load_tsv(data), ckpt.country_labels, ckpt.province_labels)
     reports = evaluate(ckpt.model, dataset, ckpt.vocab)
-    for task in ("country", "province"):
-        if task in reports:
-            rep = reports[task]
-            print(f"{task} f1={100 * rep.macro_f1:.2f} acc={100 * rep.accuracy:.2f}")
+    for task, rep in reports.items():
+        print(f"{task} f1={100 * rep.macro_f1:.2f} acc={100 * rep.accuracy:.2f}")
     if conf_dir is not None:
         conf_dir.mkdir(parents=True, exist_ok=True)
         labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}
@@ -180,8 +186,9 @@ def cmd_predict(args) -> int:
     if out.is_dir():
         raise UsageError(f"--out {args.out}: is a directory")
     _output_dir(out.parent, "--out")
+    infile = _input_file(args.infile, "--in")
     ckpt = load_checkpoint(args.model)
-    rows = load_texts(args.infile)
+    rows = load_texts(infile)
     preds = predict_texts(ckpt.model, ckpt.vocab, [text for _, text in rows])
     labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}
     lines = []
@@ -194,7 +201,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    dataset = load_tsv(args.data)
+    dataset = load_tsv(_input_file(args.data, "--data"))
     for task, pairs in data_mod.label_distribution(dataset).items():
         for label, count in pairs:
             print(f"{task}\t{label}\t{count}")

@@ -40,7 +40,15 @@ from .tensor import (
 MODE_MTL = "mtl"
 MODE_COUNTRY = "country"
 MODE_PROVINCE = "province"
-MODES = (MODE_MTL, MODE_COUNTRY, MODE_PROVINCE)
+TASKS = ("country", "province")  # the order of forward's logits and of loss_weights
+# the heads each mode trains, in forward order
+_MODE_TASKS = {
+    MODE_MTL: TASKS,
+    MODE_COUNTRY: ("country",),
+    MODE_PROVINCE: ("province",),
+}
+MODES = tuple(_MODE_TASKS)
+_CLASS_COUNT = {"country": "n_countries", "province": "n_provinces"}  # ModelConfig field per head
 
 CHECKPOINT_MAGIC = b"MTLD"
 CHECKPOINT_VERSION = 3
@@ -67,35 +75,22 @@ class ModelConfig:
             self.hidden_size = self.encoder.d_model
         for name in ("hidden_size", "n_countries", "n_provinces"):
             require_count(name, getattr(self, name))
-        if self.has_country and self.n_countries < 2:
-            raise ValueError("n_countries must be >= 2 when the country head exists")
-        if self.has_province and self.n_provinces < 2:
-            raise ValueError("n_provinces must be >= 2 when the province head exists")
+        for task, classes in self.tasks():
+            if classes < 2:
+                raise ValueError(f"{_CLASS_COUNT[task]} must be >= 2 when the {task} head exists")
         w_c, w_p = self.loss_weights
         for w in (w_c, w_p):
             require_real("loss_weights", w)
         if w_c < 0 or w_p < 0:
             raise ValueError("loss_weights must be finite and nonnegative")
         self.loss_weights = (float(w_c), float(w_p))
-        weights = {"country": w_c, "province": w_p}
+        weights = dict(zip(TASKS, self.loss_weights))
         if not any(weights[task] > 0 for task, _ in self.tasks()):
             raise ValueError("loss_weights must give at least one present head a positive weight")
 
-    @property
-    def has_country(self) -> bool:
-        return self.mode in (MODE_MTL, MODE_COUNTRY)
-
-    @property
-    def has_province(self) -> bool:
-        return self.mode in (MODE_MTL, MODE_PROVINCE)
-
     def tasks(self) -> list[tuple[str, int]]:
-        out = []
-        if self.has_country:
-            out.append(("country", self.n_countries))
-        if self.has_province:
-            out.append(("province", self.n_provinces))
-        return out
+        """(task, class count) for each head the mode trains, in forward order."""
+        return [(task, getattr(self, _CLASS_COUNT[task])) for task in _MODE_TASKS[self.mode]]
 
 
 @dataclass
@@ -296,6 +291,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"invalid config document: {exc}") from exc
     if not all(isinstance(entry, str) for entry in country_labels + province_labels + tokens):
         raise CheckpointError("labels and vocabulary entries must be strings")
+    if (len(country_labels), len(province_labels)) != (config.n_countries, config.n_provinces):
+        raise CheckpointError(
+            f"{len(country_labels)} country and {len(province_labels)} province labels do not match "
+            f"config's {config.n_countries} and {config.n_provinces} classes"
+        )
     if tuple(tokens[:3]) != RESERVED_TOKENS:
         raise CheckpointError("vocabulary must start with the reserved tokens")
     if len(tokens) != config.encoder.vocab_size:

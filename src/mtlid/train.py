@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset
-from .model import MtlModel, compute_loss, predict
+from .model import TASKS, MtlModel, compute_loss, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import Adam, NonFiniteGradientError, no_grad, require_count, require_real, require_seed
 
@@ -107,20 +107,11 @@ def _encode_texts(texts: Sequence[str], vocab: Vocabulary, l_max: int) -> list[T
 
 
 def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
-    cfg = model.config
-    if cfg.has_country and len(dataset.country_labels) > cfg.n_countries:
-        raise DataError(
-            f"{which}: {len(dataset.country_labels)} country labels exceed model's {cfg.n_countries}"
-        )
-    if cfg.has_province and len(dataset.province_labels) > cfg.n_provinces:
-        raise DataError(
-            f"{which}: {len(dataset.province_labels)} province labels exceed model's {cfg.n_provinces}"
-        )
-    for ex in dataset.examples:
-        if cfg.has_country and not 0 <= ex.country < cfg.n_countries:
-            raise DataError(f"{which}: country id {ex.country} out of range")
-        if cfg.has_province and not 0 <= ex.province < cfg.n_provinces:
-            raise DataError(f"{which}: province id {ex.province} out of range")
+    """Each head the model has must have one class per label of the dataset."""
+    for task, classes in model.config.tasks():
+        n_labels = len(getattr(dataset, f"{task}_labels"))
+        if n_labels != classes:
+            raise DataError(f"{which}: {n_labels} {task} labels do not match the model's {classes} classes")
 
 
 def predict_texts(
@@ -134,10 +125,9 @@ def predict_texts(
     preds: dict[str, list[np.ndarray]] = {task: [] for task, _ in model.config.tasks()}
     with no_grad():
         for start in range(0, len(seqs), batch_size):
-            logits_c, logits_p = model.forward(seqs[start : start + batch_size], train_mode=False)
-            for task, logits in (("country", logits_c), ("province", logits_p)):
-                if logits is not None:
-                    preds[task].append(predict(logits))
+            logits = dict(zip(TASKS, model.forward(seqs[start : start + batch_size])))
+            for task, batches in preds.items():
+                batches.append(predict(logits[task]))
     return {
         task: np.concatenate(batches) if batches else np.zeros(0, dtype=np.intp)
         for task, batches in preds.items()
@@ -152,15 +142,11 @@ def evaluate(
         raise ValueError("evaluate: empty dataset")
     _check_labels(dataset, model, "evaluate")
     preds = predict_texts(model, vocab, [ex.text for ex in dataset.examples], batch_size)
-    gold = {
-        "country": np.array([ex.country for ex in dataset.examples]),
-        "province": np.array([ex.province for ex in dataset.examples]),
-    }
-    sizes = {"country": model.config.n_countries, "province": model.config.n_provinces}
-    return {
-        task: metrics_from_predictions(gold[task], pred, sizes[task])
-        for task, pred in preds.items()
-    }
+    reports = {}
+    for task, classes in model.config.tasks():
+        gold = np.array([getattr(ex, task) for ex in dataset.examples])
+        reports[task] = metrics_from_predictions(gold, preds[task], classes)
+    return reports
 
 
 def train(
@@ -188,7 +174,7 @@ def train(
     labels_p = np.array([ex.province for ex in dataset_train.examples])
     rng = np.random.default_rng(cfg.seed)
     adam = Adam(model.params, learning_rate=cfg.learning_rate)
-    key_task = "country" if model.config.has_country else "province"
+    key_task = model.config.tasks()[0][0]
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_epoch = -1

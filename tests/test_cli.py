@@ -247,6 +247,74 @@ def test_non_utf8_training_data_is_exit_2(corpus, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_manifest_digests_the_inputs_before_training(corpus, tmp_path, monkeypatch):
+    # an input edited while the run trains is recorded as the bytes it read
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG), encoding="utf-8")
+    original = sha(cfg)
+    real_train = train_mod.train
+
+    def train_then_edit_config(*args, **kwargs):
+        result = real_train(*args, **kwargs)
+        cfg.write_text("{}", encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(train_mod, "train", train_then_edit_config)
+    out = tmp_path / "o"
+    code = main(
+        [
+            "train",
+            "--train", str(corpus["train"]),
+            "--dev", str(corpus["dev"]),
+            "--config", str(cfg),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"]["config"]["sha256"] == original != sha(cfg)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("train", "--train"),
+        ("train", "--dev"),
+        ("train", "--config"),
+        ("eval", "--data"),
+        ("predict", "--in"),
+        ("distribution", "--data"),
+    ],
+)
+def test_bad_input_path_is_usage_error(corpus, trained, tmp_path, capsys, monkeypatch, command, flag, kind):
+    # every data and config input is checked before any work, with one rule
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    out = tmp_path / "out"
+    flags = {
+        "train": {"--train": corpus["train"], "--dev": corpus["dev"], "--config": corpus["config"], "--out": out},
+        "eval": {"--model": trained / "model.ckpt", "--data": corpus["test"], "--confusion": out},
+        "predict": {"--model": trained / "model.ckpt", "--in": corpus["test"], "--out": out / "p.tsv"},
+        "distribution": {"--data": corpus["train"]},
+    }[command]
+    flags[flag] = bad
+    reached = []
+
+    def no_work(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("input read before every input was checked")
+
+    for name in ("load_tsv", "load_texts", "load_checkpoint", "_load_config_file"):
+        monkeypatch.setattr(cli, name, no_work)
+    code = main([command, *(str(x) for pair in flags.items() for x in pair)])
+    stdout, err = capsys.readouterr()
+    assert code == 2
+    assert err == f"error: {flag} {bad}: not a readable file\n"
+    assert stdout == "" and reached == [] and not out.exists()
+
+
 def test_inputs_never_mutated(corpus, trained):
     before = {name: sha(corpus[name]) for name in ("train", "dev", "config")}
     main(["eval", "--model", str(trained / "model.ckpt"), "--data", str(corpus["dev"])])
@@ -488,3 +556,32 @@ def test_single_task_mode_via_cli(corpus, tmp_path, capsys):
     assert fields[4] == "nan" and fields[5] == "nan"  # province columns absent
     assert main(["eval", "--model", str(out / "model.ckpt"), "--data", str(corpus["test"])]) == 0
     assert capsys.readouterr().out.startswith("country f1=")
+
+
+def test_one_country_corpus_trains_only_the_province_head(corpus, tmp_path, capsys):
+    # Each head's classes are its labels, and a head the mode trains needs
+    # two: with one country in the data, only the province baseline trains.
+    paths = {}
+    for split in ("train", "dev", "test"):
+        header, *rows = corpus[split].read_text(encoding="utf-8").splitlines()
+        rows = [f"{ex_id}\t{text}\tegypt\t{province}" for ex_id, text, _, province in (row.split("\t") for row in rows)]
+        paths[split] = tmp_path / f"{split}.tsv"
+        paths[split].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    args = ["train", "--train", str(paths["train"]), "--dev", str(paths["dev"]), "--config", str(corpus["config"])]
+    for mode in ("mtl", "country"):
+        out = tmp_path / mode
+        assert main([*args, "--out", str(out), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_countries must be >= 2" in err, err
+        assert not out.exists()
+    out = tmp_path / "province"
+    assert main([*args, "--out", str(out), "--mode", "province"]) == 0
+    assert load_checkpoint(out / "model.ckpt").country_labels == ["egypt"]
+    preds = tmp_path / "preds.tsv"
+    assert main(["predict", "--model", str(out / "model.ckpt"), "--in", str(paths["test"]), "--out", str(preds)]) == 0
+    rows = [line.split("\t") for line in preds.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == len(paths["test"].read_text(encoding="utf-8").splitlines()) - 1
+    assert {country for _, country, _ in rows} == {"NA"}
+    capsys.readouterr()
+    assert main(["eval", "--model", str(out / "model.ckpt"), "--data", str(paths["test"])]) == 0
+    assert re.fullmatch(r"province f1=\d+\.\d{2} acc=\d+\.\d{2}\n", capsys.readouterr().out)

@@ -436,6 +436,22 @@ def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved, monke
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "country_labels",
+    [["egypt", "iraq", "jordan", "oman"], ["egypt", "iraq"]],
+    ids=["extra-label", "class-without-label"],
+)
+def test_checkpoint_label_lists_must_match_class_counts(saved, country_labels):
+    # Each class is a label: predict and eval name every class id they emit.
+    path, model, _, labels_p, vocab = saved
+    blob = path.read_bytes()
+    (doc_len,) = struct.unpack("<I", blob[6:10])
+    doc = _config_document(model.config, country_labels, labels_p, vocab)
+    path.write_bytes(_reseal(blob[:6] + struct.pack("<I", len(doc)) + doc + blob[10 + doc_len :]))
+    with pytest.raises(CheckpointError, match="labels do not match"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic_rejected(saved):
     path, *_ = saved
     blob = bytearray(path.read_bytes())
