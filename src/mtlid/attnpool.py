@@ -1,11 +1,11 @@
 """Per-task attention pooling over contextual embeddings.
 
-Given H [B, W, d] and a padding mask, each task layer computes
-tanh(H w_a), mixes positions through an l_max x l_max matrix cropped to
-its leading W x W corner (W is the batch width, at most l_max), masks
-and normalizes the resulting scores, and returns the weighted sum of H
-rows: a task-specific sentence vector that always lies in the convex
-hull of the unmasked rows.
+Given H [B, W, d] and a padding mask, each task layer computes one
+tanh(H w_a) score per position, mixes the [B, W] scores through an
+l_max x l_max matrix cropped to its leading W x W corner (W is the batch
+width, at most l_max), masks and normalizes them, and returns the
+weighted sum of H rows: a task-specific sentence vector that always lies
+in the convex hull of the unmasked rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .tensor import (
     reshape,
     softmax_masked,
     tanh,
-    transpose,
 )
 
 
@@ -43,18 +42,19 @@ def param_specs(d_model: int, l_max: int, task: str) -> list[tuple[str, tuple[in
 def task_attention(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) -> TaskAttentionOutput:
     """Pool H [B, L, d] into one vector per example.
 
-    w_alpha [l_max, l_max] is cropped to its leading L x L corner. Masked
-    positions are zeroed before the position-mixing product and excluded
-    from the softmax, so padding influences neither the scores nor the
-    pooled vector. Raises DegenerateMaskError on an all-masked row.
+    w_alpha [l_max, l_max] is cropped to its leading L x L corner, and
+    the [B, L] scores mix positions in one 2-D product with it. Masked
+    positions are zeroed before that product and excluded from the
+    softmax, so padding influences neither the scores nor the pooled
+    vector. Raises DegenerateMaskError on an all-masked row.
     """
-    b, l, _ = h.shape
+    b, l, d = h.shape
     w_alpha = crop(w_alpha, (l, l))
     mask = np.asarray(mask, dtype=bool)
     scores_keep = Tensor(mask.astype(h.data.dtype)[:, :, None])
     c = mul(tanh(matmul(h, w_a)), scores_keep)  # [B, L, 1]
-    scores = matmul(transpose(c, (0, 2, 1)), w_alpha)  # [B, 1, L]
-    alpha = softmax_masked(scores, mask[:, None, :])
-    v = reshape(matmul(alpha, h), (b, h.shape[-1]))
-    return TaskAttentionOutput(v=v, alpha=reshape(alpha, (b, l)))
+    scores = matmul(reshape(c, (b, l)), w_alpha)  # [B, L]
+    alpha = softmax_masked(scores, mask)
+    v = reshape(matmul(reshape(alpha, (b, 1, l)), h), (b, d))
+    return TaskAttentionOutput(v=v, alpha=alpha)
 

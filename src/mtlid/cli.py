@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage/config/parse error.
 Every run that produces artifacts also writes a manifest recording the
 fully resolved configuration, input digests, seed, artifact paths, and
-wall-clock duration, so a run can be replayed exactly.
+wall-clock duration, so a run can be replayed. A training manifest also
+records numpy, its BLAS build and the BLAS thread settings: seeded bytes
+repeat only for one such build and thread count.
 """
 
 from __future__ import annotations
@@ -17,16 +19,22 @@ import time
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, data as data_mod, train as train_mod
 from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate
 from .encoder import EncoderConfig
-from .model import MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
+from .model import MODE_TASKS, MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import Vocabulary, build_vocab, clean_text
 from .train import TrainConfig, evaluate, predict_texts, write_confusion, write_history
 
 # Settings the command line fixes (max_size comes from encoder.vocab_size);
 # a config file may not set them.
 _CLI_OWNED = {"mode", "n_countries", "n_provinces", "seed", "max_size"}
+
+# Environment variables that set the BLAS thread count, which changes
+# the summation order of large products and so the trained bytes.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _settings(cls) -> list[str]:
@@ -63,6 +71,16 @@ def _write_manifest(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _runtime() -> dict:
+    """The numpy and BLAS build and the thread settings a run's bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+    }
+
+
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -82,7 +100,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _input_file(path: str, flag: str) -> Path:
-    """A data or config input that is a readable file; checked before any work."""
+    """A data, config or checkpoint input that is a readable file; checked before any work."""
     src = Path(path)
     if not (src.is_file() and os.access(src, os.R_OK)):
         raise UsageError(f"{flag} {path}: not a readable file")
@@ -118,6 +136,12 @@ def cmd_train(args) -> int:
     }
     file_cfg = _load_config_file(args.config)
     train_ds = load_tsv(args.train)
+    labels = {"country": train_ds.country_labels, "province": train_ds.province_labels}
+    for task in MODE_TASKS[args.mode]:
+        if len(labels[task]) < 2:
+            raise UsageError(
+                f"--train {args.train}: the {task} head needs at least 2 labels, found {len(labels[task])}"
+            )
     dev_ds = relabel(load_tsv(args.dev), train_ds.country_labels, train_ds.province_labels)
 
     texts = [clean_text(ex.text) for ex in train_ds.examples]
@@ -158,6 +182,7 @@ def cmd_train(args) -> int:
         "inputs": inputs,
         "artifacts": {"checkpoint": str(ckpt_path), "history": str(hist_path)},
         "flagged_ids": {"train": train_ds.flagged_ids, "dev": dev_ds.flagged_ids},
+        "runtime": _runtime(),
         "best_epoch": result.best_epoch,
         "duration_seconds": time.monotonic() - started,
     }
@@ -168,7 +193,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     conf_dir = _output_dir(args.confusion, "--confusion") if args.confusion else None
     data = _input_file(args.data, "--data")
-    ckpt = load_checkpoint(args.model)
+    ckpt = load_checkpoint(_input_file(args.model, "--model"))
     dataset = relabel(load_tsv(data), ckpt.country_labels, ckpt.province_labels)
     reports = evaluate(ckpt.model, dataset, ckpt.vocab)
     for task, rep in reports.items():
@@ -187,7 +212,7 @@ def cmd_predict(args) -> int:
         raise UsageError(f"--out {args.out}: is a directory")
     _output_dir(out.parent, "--out")
     infile = _input_file(args.infile, "--in")
-    ckpt = load_checkpoint(args.model)
+    ckpt = load_checkpoint(_input_file(args.model, "--model"))
     rows = load_texts(infile)
     preds = predict_texts(ckpt.model, ckpt.vocab, [text for _, text in rows])
     labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}

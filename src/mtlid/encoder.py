@@ -66,14 +66,13 @@ class EncoderOutput:
 def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Named shapes and init kinds for every encoder parameter.
 
-    The positional table uses per-row seeding, so the rows that encoders
-    of two l_max share are bitwise identical, and both give the same H at
-    every real position of a batch that fits either.
+    Each weight, the positional table included, is one name-seeded draw
+    of its full shape.
     """
     d, ff = cfg.d_model, cfg.d_ff
     specs: list[tuple[str, tuple[int, ...], str]] = [
         ("encoder.tok_emb", (cfg.vocab_size, d), "normal"),
-        ("encoder.pos_emb", (cfg.l_max, d), "normal_rows"),
+        ("encoder.pos_emb", (cfg.l_max, d), "normal"),
     ]
     for i in range(cfg.n_layers):
         base = f"encoder.layer{i}"

@@ -42,12 +42,12 @@ MODE_COUNTRY = "country"
 MODE_PROVINCE = "province"
 TASKS = ("country", "province")  # the order of forward's logits and of loss_weights
 # the heads each mode trains, in forward order
-_MODE_TASKS = {
+MODE_TASKS = {
     MODE_MTL: TASKS,
     MODE_COUNTRY: ("country",),
     MODE_PROVINCE: ("province",),
 }
-MODES = tuple(_MODE_TASKS)
+MODES = tuple(MODE_TASKS)
 _CLASS_COUNT = {"country": "n_countries", "province": "n_provinces"}  # ModelConfig field per head
 
 CHECKPOINT_MAGIC = b"MTLD"
@@ -90,7 +90,7 @@ class ModelConfig:
 
     def tasks(self) -> list[tuple[str, int]]:
         """(task, class count) for each head the mode trains, in forward order."""
-        return [(task, getattr(self, _CLASS_COUNT[task])) for task in _MODE_TASKS[self.mode]]
+        return [(task, getattr(self, _CLASS_COUNT[task])) for task in MODE_TASKS[self.mode]]
 
 
 @dataclass

@@ -227,9 +227,9 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
-    Both operands must have rank >= 2 and agreeing inner dimensions. With
-    a 2-D right operand, as in [B, L, k] @ [k, n], the backward folds the
-    leading axes into rows and runs each gradient as one 2-D product.
+    Both operands must have rank >= 2 and agreeing inner dimensions. Each
+    gradient is numpy's batched product, summed back over any leading
+    axes the operand was broadcast along.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
@@ -240,18 +240,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from exc
 
-    flat = b.ndim == 2 and a.ndim > 2
-
     def vjp(g):
         ga = gb = None
-        if flat:
-            k, n = b.shape
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                ga = (g2 @ b.data.T).reshape(a.shape)
-            if b.requires_grad:
-                gb = a.data.reshape(-1, k).T @ g2
-            return ga, gb
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if b.requires_grad:
@@ -675,21 +665,13 @@ def init_parameters(
 ) -> dict[str, Tensor]:
     """Materialize named parameters from (name, shape, kind) specs.
 
-    kind is one of: "normal" (name-seeded truncated normal), "zeros",
-    "ones", or "normal_rows" (each leading-axis row drawn from its own
-    name-seeded stream, so shared rows stay identical when the leading
-    dimension grows).
+    kind is one of: "normal" (one name-seeded truncated-normal draw of
+    the full shape), "zeros" or "ones".
     """
     params: dict[str, Tensor] = {}
     for name, shape, kind in specs:
         if kind == "normal":
             arr = trunc_normal(shape, name_seeded_rng(global_seed, name), dtype=dtype)
-        elif kind == "normal_rows":
-            rows = [
-                trunc_normal(shape[1:], name_seeded_rng(global_seed, f"{name}.row{r}"), dtype=dtype)
-                for r in range(shape[0])
-            ]
-            arr = np.stack(rows) if rows else np.zeros(shape, dtype=dtype)
         elif kind == "zeros":
             arr = np.zeros(shape, dtype=dtype)
         elif kind == "ones":

@@ -6,6 +6,7 @@ import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mtlid import cli, train as train_mod
@@ -142,6 +143,22 @@ def test_manifest_records_rows_empty_after_cleaning(corpus, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["flagged_ids"] == {"train": ["e1"], "dev": ["e2"]}
     assert manifest["seed"] == 0
+
+
+def test_manifest_records_the_blas_build_and_threads(corpus, tmp_path, monkeypatch):
+    # seeded bytes repeat for one numpy/BLAS build and thread count, so the
+    # manifest names them; an unset thread variable is recorded as null
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "o"
+    args = ["--train", str(corpus["train"]), "--dev", str(corpus["dev"]), "--config", str(corpus["config"])]
+    assert main(["train", *args, "--out", str(out)]) == 0
+    runtime = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runtime"]
+    assert runtime["numpy"] == np.__version__
+    assert set(runtime["blas"]) == {"name", "version"}
+    assert set(runtime["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert runtime["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert runtime["threads"]["MKL_NUM_THREADS"] is None
 
 
 def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
@@ -283,12 +300,14 @@ def test_manifest_digests_the_inputs_before_training(corpus, tmp_path, monkeypat
         ("train", "--dev"),
         ("train", "--config"),
         ("eval", "--data"),
+        ("eval", "--model"),
         ("predict", "--in"),
+        ("predict", "--model"),
         ("distribution", "--data"),
     ],
 )
 def test_bad_input_path_is_usage_error(corpus, trained, tmp_path, capsys, monkeypatch, command, flag, kind):
-    # every data and config input is checked before any work, with one rule
+    # every data, config and checkpoint input is checked before any work, with one rule
     bad = tmp_path / "bad"
     if kind == "directory":
         bad.mkdir()
@@ -393,9 +412,18 @@ def test_eval_label_space_mismatch_exit_2(trained, tmp_path, capsys):
     assert "label-space mismatch" in capsys.readouterr().err
 
 
-def test_eval_unreadable_model_exit_1(tmp_path, corpus):
-    missing = tmp_path / "nope.ckpt"
-    assert main(["eval", "--model", str(missing), "--data", str(corpus["test"])]) == 1
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_truncated_model_is_runtime_error(corpus, trained, tmp_path, capsys, command):
+    # a checkpoint that is a readable file but cannot be loaded is a runtime failure
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((trained / "model.ckpt").read_bytes()[:100])
+    flags = {
+        "eval": ["--data", str(corpus["test"])],
+        "predict": ["--in", str(corpus["test"]), "--out", str(tmp_path / "p.tsv")],
+    }[command]
+    assert main([command, "--model", str(cut), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "p.tsv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +484,6 @@ def test_predict_bad_out_is_usage_error(corpus, trained, tmp_path, capsys, monke
         assert err.startswith("error: ") and needle in err, (out, err)
     assert reached == []
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
-
-
-def test_predict_unreadable_model_exit_1(tmp_path, corpus):
-    assert main(["predict", "--model", str(tmp_path / "no.ckpt"), "--in", str(corpus["test"]), "--out", str(tmp_path / "o.tsv")]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -558,22 +582,44 @@ def test_single_task_mode_via_cli(corpus, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("country f1=")
 
 
-def test_one_country_corpus_trains_only_the_province_head(corpus, tmp_path, capsys):
-    # Each head's classes are its labels, and a head the mode trains needs
-    # two: with one country in the data, only the province baseline trains.
+def _one_label_corpus(corpus, tmp_path, task, label):
+    """The corpus splits with every row's `task` label set to `label`."""
+    column = {"country": 2, "province": 3}[task]
     paths = {}
     for split in ("train", "dev", "test"):
         header, *rows = corpus[split].read_text(encoding="utf-8").splitlines()
-        rows = [f"{ex_id}\t{text}\tegypt\t{province}" for ex_id, text, _, province in (row.split("\t") for row in rows)]
+        cells = [row.split("\t") for row in rows]
+        for row in cells:
+            row[column] = label
         paths[split] = tmp_path / f"{split}.tsv"
-        paths[split].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        paths[split].write_text("\n".join([header, *("\t".join(row) for row in cells)]) + "\n", encoding="utf-8")
+    return paths
+
+
+def _assert_head_needs_two_labels(corpus, paths, tmp_path, capsys, task):
+    # the error names the training file, the head and its label count, and nothing is written
     args = ["train", "--train", str(paths["train"]), "--dev", str(paths["dev"]), "--config", str(corpus["config"])]
-    for mode in ("mtl", "country"):
+    for mode in ("mtl", task):
         out = tmp_path / mode
         assert main([*args, "--out", str(out), "--mode", mode]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "n_countries must be >= 2" in err, err
+        assert capsys.readouterr().err == (
+            f"error: --train {paths['train']}: the {task} head needs at least 2 labels, found 1\n"
+        )
         assert not out.exists()
+    return args
+
+
+def test_one_province_corpus_is_named_as_the_training_file(corpus, tmp_path, capsys):
+    paths = _one_label_corpus(corpus, tmp_path, "province", "cairo")
+    args = _assert_head_needs_two_labels(corpus, paths, tmp_path, capsys, "province")
+    assert main([*args, "--out", str(tmp_path / "country"), "--mode", "country"]) == 0
+
+
+def test_one_country_corpus_trains_only_the_province_head(corpus, tmp_path, capsys):
+    # Each head's classes are its labels, and a head the mode trains needs
+    # two: with one country in the data, only the province baseline trains.
+    paths = _one_label_corpus(corpus, tmp_path, "country", "egypt")
+    args = _assert_head_needs_two_labels(corpus, paths, tmp_path, capsys, "country")
     out = tmp_path / "province"
     assert main([*args, "--out", str(out), "--mode", "province"]) == 0
     assert load_checkpoint(out / "model.ckpt").country_labels == ["egypt"]

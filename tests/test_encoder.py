@@ -12,7 +12,7 @@ from mtlid.encoder import (
     param_specs,
 )
 from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, stack_sequences
-from mtlid.tensor import Tensor, init_parameters, sum_all
+from mtlid.tensor import Tensor, init_parameters, name_seeded_rng, sum_all, trunc_normal
 
 TOY = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.0)
 
@@ -97,21 +97,6 @@ def test_pooled_values_inside_tanh_range(toy_params):
     assert np.all(pooled > -1.0) and np.all(pooled < 1.0)
 
 
-def test_padding_invariance_across_widths():
-    # the same sequences through l_max 8 and 12 encoders: H at real positions must not move
-    rng = np.random.default_rng(6)
-    narrow_cfg = TOY
-    wide_cfg = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=12, vocab_size=20, dropout_rate=0.0)
-    p_narrow = init_parameters(param_specs(narrow_cfg), 0, np.float64)
-    p_wide = init_parameters(param_specs(wide_cfg), 0, np.float64)
-    seqs = [make_seq(rng, 5), make_seq(rng, 8)]
-    h_narrow = encode_batch(seqs, p_narrow, narrow_cfg).h.data
-    h_wide = encode_batch(seqs, p_wide, wide_cfg).h.data
-    for b, seq in enumerate(seqs):
-        n = seq.true_length
-        np.testing.assert_allclose(h_narrow[b, :n], h_wide[b, :n], atol=1e-5)
-
-
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_output_ignores_padded_positions(toy_params, n_heads):
     # attention's own contract (rows sum to one, masked keys get zero weight) is in test_tensor.py
@@ -163,3 +148,8 @@ def test_param_specs_cover_init():
     assert sorted(names) == sorted(params)
     assert params["encoder.layer0.ln1.gain"].data.min() == 1.0
     assert np.all(params["encoder.layer0.attn.bq"].data == 0.0)
+    # the positional table is one name-seeded draw of its full shape
+    expected = trunc_normal((TOY.l_max, TOY.d_model), name_seeded_rng(0, "encoder.pos_emb"))
+    assert np.array_equal(params["encoder.pos_emb"].data, expected)
+    with pytest.raises(ValueError, match="unknown init kind 'normal_rows'"):
+        init_parameters([("encoder.pos_emb", (TOY.l_max, TOY.d_model), "normal_rows")], 0)

@@ -487,7 +487,7 @@ def test_grad_matmul_2d():
 
 
 def test_grad_matmul_batched_with_unbatched():
-    # a 2-D right operand takes the folded 2-D backward
+    # a 2-D right operand broadcasts over the leading axes; its gradient sums over them
     for shapes in ([(2, 1, 5), (5, 5)], [(3, 4, 5), (5, 2)], [(2, 3, 4, 5), (5, 3)]):
         _check(lambda ps: _weighted_sum(matmul(ps[0], ps[1])), shapes, 4)
 
