@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,11 @@ from . import __version__, data as data_mod, train as train_mod
 from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate
 from .encoder import EncoderConfig
 from .model import MODE_TASKS, MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
-from .preprocess import Vocabulary, build_vocab, clean_text
+from .preprocess import build_vocab, clean_text
 from .train import TrainConfig, evaluate, predict_texts, write_confusion, write_history
 
-# Settings the command line fixes (max_size comes from encoder.vocab_size);
-# a config file may not set them.
-_CLI_OWNED = {"mode", "n_countries", "n_provinces", "seed", "max_size"}
+# Settings the command line fixes; a config file may not set them.
+_CLI_OWNED = {"mode", "n_countries", "n_provinces", "seed"}
 
 # Environment variables that set the BLAS thread count, which changes
 # the summation order of large products and so the trained bytes.
@@ -40,8 +39,8 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _settings(cls) -> list[str]:
     """Fields of a dataclass that carry a plain default value.
 
-    Fields without one are data (a vocabulary's tokens) or, with a
-    default factory, a nested section of their own (ModelConfig.encoder).
+    A field with a default factory is a nested section of its own
+    (ModelConfig.encoder).
     """
     return [f.name for f in fields(cls) if f.default is not MISSING]
 
@@ -52,7 +51,6 @@ _CONFIG_SECTIONS = {
         ("encoder", EncoderConfig),
         ("model", ModelConfig),
         ("train", TrainConfig),
-        ("vocab", Vocabulary),
     )
 }
 
@@ -84,8 +82,8 @@ def _runtime() -> dict:
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        raise UsageError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
     for section, keys in raw.items():
@@ -145,12 +143,11 @@ def cmd_train(args) -> int:
     dev_ds = relabel(load_tsv(args.dev), train_ds.country_labels, train_ds.province_labels)
 
     texts = [clean_text(ex.text) for ex in train_ds.examples]
-    enc_kwargs = dict(file_cfg.get("encoder", {}))
-    vocab_cap = enc_kwargs.pop("vocab_size", EncoderConfig.vocab_size)
     try:
-        vocab = build_vocab(texts, max_size=vocab_cap, **file_cfg.get("vocab", {}))
+        enc = EncoderConfig(**file_cfg.get("encoder", {}))  # its vocab_size caps the vocabulary
+        vocab = build_vocab(texts, max_size=enc.vocab_size)
         model_cfg = ModelConfig(
-            encoder=EncoderConfig(vocab_size=len(vocab), **enc_kwargs),
+            encoder=replace(enc, vocab_size=len(vocab)),
             n_countries=len(train_ds.country_labels),
             n_provinces=len(train_ds.province_labels),
             mode=args.mode,
@@ -177,7 +174,7 @@ def cmd_train(args) -> int:
             "encoder": model_doc.pop("encoder"),
             "model": model_doc,
             "train": asdict(train_cfg),
-            "vocab": {name: getattr(vocab, name) for name in _settings(Vocabulary)},
+            "vocab": {"max_size": enc.vocab_size},
         },
         "inputs": inputs,
         "artifacts": {"checkpoint": str(ckpt_path), "history": str(hist_path)},

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .preprocess import TokenSequence, stack_sequences
+from .preprocess import RESERVED_TOKENS, VOCAB_SIZE, TokenSequence, stack_sequences
 from .tensor import (
     Tensor,
     add,
@@ -39,7 +39,7 @@ class EncoderConfig:
     n_heads: int = 2
     d_ff: int = 256
     l_max: int = 64
-    vocab_size: int = 4096
+    vocab_size: int = VOCAB_SIZE
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
@@ -47,6 +47,8 @@ class EncoderConfig:
             require_count(name, getattr(self, name))
         if self.l_max < 2:
             raise ValueError("l_max must be >= 2")
+        if self.vocab_size < len(RESERVED_TOKENS):
+            raise ValueError(f"vocab_size must be >= {len(RESERVED_TOKENS)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

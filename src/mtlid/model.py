@@ -29,7 +29,6 @@ from .tensor import (
     concat_last,
     cross_entropy_from_logits,
     init_parameters,
-    is_integer,
     linear,
     require_count,
     require_real,
@@ -51,7 +50,7 @@ MODES = tuple(MODE_TASKS)
 _CLASS_COUNT = {"country": "n_countries", "province": "n_provinces"}  # ModelConfig field per head
 
 CHECKPOINT_MAGIC = b"MTLD"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _HEADER = struct.Struct("<4sHI")  # magic, version, config document length
 
 
@@ -64,20 +63,19 @@ class ModelConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     n_countries: int = 2
     n_provinces: int = 2
-    hidden_size: int = 0  # 0 resolves to encoder.d_model
     mode: str = MODE_MTL
     loss_weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if is_integer(self.hidden_size) and self.hidden_size == 0:
-            self.hidden_size = self.encoder.d_model
-        for name in ("hidden_size", "n_countries", "n_provinces"):
+        for name in ("n_countries", "n_provinces"):
             require_count(name, getattr(self, name))
         for task, classes in self.tasks():
             if classes < 2:
                 raise ValueError(f"{_CLASS_COUNT[task]} must be >= 2 when the {task} head exists")
+        if not (isinstance(self.loss_weights, (list, tuple)) and len(self.loss_weights) == 2):
+            raise ValueError(f"loss_weights must be a [country, province] pair, got {self.loss_weights!r}")
         w_c, w_p = self.loss_weights
         for w in (w_c, w_p):
             require_real("loss_weights", w)
@@ -112,9 +110,9 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     specs = encoder.param_specs(config.encoder)
     for task, classes in config.tasks():
         specs.extend(attnpool.param_specs(d, config.encoder.l_max, task))
-        specs.append((f"{task}_cls.w1", (2 * d, config.hidden_size), "normal"))
-        specs.append((f"{task}_cls.b1", (config.hidden_size,), "zeros"))
-        specs.append((f"{task}_cls.w2", (config.hidden_size, classes), "normal"))
+        specs.append((f"{task}_cls.w1", (2 * d, d), "normal"))
+        specs.append((f"{task}_cls.b1", (d,), "zeros"))
+        specs.append((f"{task}_cls.w2", (d, classes), "normal"))
         specs.append((f"{task}_cls.b2", (classes,), "zeros"))
     return specs
 
@@ -317,6 +315,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"parameter {name!r} holds a non-finite value")
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
         start += data.size
-    vocab = Vocabulary(tokens, min_frequency=1, max_size=len(tokens))
+    vocab = Vocabulary(tokens)
     model = MtlModel(config, params=params)
     return Checkpoint(model=model, country_labels=country_labels, province_labels=province_labels, vocab=vocab)

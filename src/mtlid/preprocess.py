@@ -15,12 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import require_count
-
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]")
+VOCAB_SIZE = 4096  # the default vocabulary cap, reserved tokens included
 
 ARABIC_DIACRITICS = frozenset(
     {chr(c) for c in range(0x064B, 0x0660)} | {"ٰ", "ـ"}
@@ -43,8 +42,6 @@ class Vocabulary:
     """
 
     id_to_token: list[str]
-    min_frequency: int = 1
-    max_size: int = 0
     token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -58,24 +55,20 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
 
-def build_vocab(corpus: Sequence[str], min_frequency: int = 1, max_size: int = 30000) -> Vocabulary:
+def build_vocab(corpus: Sequence[str], max_size: int = VOCAB_SIZE) -> Vocabulary:
     """Rank whitespace tokens by (count desc, token asc) and assign ids 3...
 
-    Tokens below min_frequency are dropped; at most max_size - 3 survive.
+    At most max_size - 3 tokens are kept.
     """
     if len(corpus) == 0:
         raise ValueError("build_vocab: empty corpus")
-    require_count("min_frequency", min_frequency)
     if max_size < len(RESERVED_TOKENS):
         raise ValueError(f"max_size must be >= {len(RESERVED_TOKENS)}")
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(text.split())
-    kept = sorted(
-        (tok for tok, n in counts.items() if n >= min_frequency),
-        key=lambda tok: (-counts[tok], tok),
-    )[: max_size - len(RESERVED_TOKENS)]
-    return Vocabulary(list(RESERVED_TOKENS) + kept, min_frequency, max_size)
+    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))[: max_size - len(RESERVED_TOKENS)]
+    return Vocabulary(list(RESERVED_TOKENS) + kept)
 
 
 @dataclass

@@ -189,7 +189,7 @@ def test_criterion_5_overfit_check():
         examples = [ex for ds in splits for ex in ds.examples]
         full = Dataset(examples, splits[0].country_labels, splits[0].province_labels)
         assert len(full) == 64
-        vocab = build_vocab([clean_text(ex.text) for ex in full.examples], 1, 512)
+        vocab = build_vocab([clean_text(ex.text) for ex in full.examples], max_size=512)
         enc = EncoderConfig(
             d_model=32, n_layers=1, n_heads=2, d_ff=64, l_max=12,
             vocab_size=len(vocab), dropout_rate=0.0,
@@ -223,7 +223,7 @@ def test_criterion_6_mtl_benefit():
                 tokens_per_example=12,
             )
             train_ds, dev_ds, _ = synth_generate(cfg)
-            vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples], 1, 8192)
+            vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples], max_size=8192)
             enc = EncoderConfig(
                 d_model=32, n_layers=1, n_heads=2, d_ff=64, l_max=16,
                 vocab_size=len(vocab), dropout_rate=0.0,

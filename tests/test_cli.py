@@ -82,6 +82,7 @@ def test_train_writes_artifacts(trained):
     assert manifest["command"] == "train"
     assert manifest["seed"] == 3
     assert manifest["resolved_config"]["train"]["epochs"] == 2
+    assert manifest["resolved_config"]["vocab"] == {"max_size": 512}  # the cap, CONFIG's encoder.vocab_size
     assert set(manifest["inputs"]) == {"train", "dev", "config"}
     assert manifest["flagged_ids"] == {"train": [], "dev": []}
     for entry in manifest["inputs"].values():
@@ -174,10 +175,14 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
     cases = [
         ('{"encoder": {"bogus_knob": 1}}', "bogus_knob"),
         ('{"encoder": 5}', "'encoder' must be a JSON object"),
-        ('{"vocab": {"min_frequency": 0}}', "min_frequency"),
-        ('{"vocab": {"min_frequency": true}}', "min_frequency must be an integer"),
-        ('{"vocab": {"min_frequency": 1.5}}', "min_frequency must be an integer"),
-        ('{"encoder": {"vocab_size": 2}}', "max_size"),
+        ('{"vocab": {"max_size": 100}}', "unknown section 'vocab'"),
+        ('{"model": {"hidden_size": 64}}', "unknown keys in 'model': ['hidden_size']"),
+        # a config file is UTF-8
+        (b"\xff\xfe{}", "is not valid UTF-8 JSON"),
+        # the vocabulary cap is a count that holds the reserved tokens
+        ('{"encoder": {"vocab_size": 2}}', "vocab_size must be >= 3"),
+        ('{"encoder": {"vocab_size": 1.5}}', "vocab_size must be an integer"),
+        ('{"encoder": {"vocab_size": true}}', "vocab_size must be an integer"),
         # the seed comes from --seed only
         ('{"train": {"seed": 4}}', "'seed'"),
         # counts are integers, and a sequence holds at least [CLS] and one token
@@ -194,10 +199,9 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
         ('{"model": {"loss_weights": [NaN, 1.0]}}', "loss_weights must be finite"),
         ('{"model": {"loss_weights": [Infinity, 1.0]}}', "loss_weights must be finite"),
         ('{"model": {"loss_weights": [0.0, 0.0]}}', "positive weight"),
-        ('{"model": {"hidden_size": 1.5}}', "hidden_size must be an integer"),
-        ('{"model": {"hidden_size": true}}', "hidden_size must be an integer"),
-        ('{"model": {"hidden_size": false}}', "hidden_size must be an integer"),
-        ('{"model": {"hidden_size": 0.0}}', "hidden_size must be an integer"),
+        ('{"model": {"loss_weights": 5}}', "loss_weights must be a [country, province] pair"),
+        ('{"model": {"loss_weights": [1]}}', "loss_weights must be a [country, province] pair"),
+        ('{"model": {"loss_weights": [1, 1, 1]}}', "loss_weights must be a [country, province] pair"),
         # numpy's generators take no negative seed
         ("{}", "seed must be a nonnegative integer", "--seed", "-1"),
         # the output directory is checked before any work: an existing file
@@ -207,7 +211,7 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
     ]
     bad = tmp_path / "bad.json"
     for config, needle, *flags in cases:
-        bad.write_text(config, encoding="utf-8")
+        bad.write_bytes(config if isinstance(config, bytes) else config.encode("utf-8"))
         code = main(
             [
                 "train",

@@ -319,7 +319,7 @@ def test_synth_no_signal_models_sit_at_chance():
             tokens_per_example=8,
         )
         train_ds, dev_ds, _ = synth_generate(cfg)
-        vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples], 1, 128)
+        vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples], max_size=128)
         enc = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=10, vocab_size=len(vocab), dropout_rate=0.0)
         config = ModelConfig(
             encoder=enc,

@@ -96,7 +96,7 @@ def _gelu_ref(x):
 
 def test_forward_matches_hand_unrolled_oracle():
     """Replay the whole forward pass with explicit Python loops."""
-    config = ModelConfig(encoder=TOY_ENC, n_countries=2, n_provinces=3, hidden_size=4)
+    config = ModelConfig(encoder=TOY_ENC, n_countries=2, n_provinces=3)
     model = MtlModel(config, global_seed=3, dtype=np.float64)
     p = {name: t.data for name, t in model.params.items()}
     rng = np.random.default_rng(3)
@@ -289,7 +289,7 @@ def test_predict_shift_invariant():
 def saved(tmp_path):
     config = ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4)
     model = MtlModel(config, global_seed=10)
-    vocab = build_vocab(["a b c d e f g h i"], 1, 12)
+    vocab = build_vocab(["a b c d e f g h i"], max_size=12)
     assert len(vocab) == TOY_ENC.vocab_size
     labels_c = ["egypt", "iraq", "jordan"]
     labels_p = ["p0", "p1", "p2", "p3"]
@@ -313,10 +313,10 @@ def test_checkpoint_round_trip_byte_identical(saved, tmp_path):
 
 
 def test_checkpoint_layout_is_header_document_data_trailer(saved):
-    # Version 3 stores no parameter name or shape: the config fixes both.
+    # A checkpoint stores no parameter name or shape: the config fixes both.
     path, model, labels_c, labels_p, vocab = saved
     blob = path.read_bytes()
-    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 3)
+    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 4)
     (doc_len,) = struct.unpack("<I", blob[6:10])
     assert blob[10 : 10 + doc_len] == _config_document(model.config, labels_c, labels_p, vocab)
     names = [name for name, _, _ in param_specs(model.config)]
@@ -386,10 +386,10 @@ def test_checkpoint_every_bit_flip_raises(saved):
 
 
 def test_checkpoint_version_1_is_unsupported(saved):
-    # Versions 1 and 2 fail alike: there is one read path, for version 3.
+    # Versions 1 to 3 fail alike: there is one read path, for version 4.
     path, *_ = saved
     blob = path.read_bytes()
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:-4])
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
@@ -465,13 +465,11 @@ def test_config_document_bytes_pinned():
     # The document is derived from the config dataclasses; a new field must
     # not change the checkpoint format unnoticed.
     enc = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ff=8, l_max=4, vocab_size=5, dropout_rate=0.0)
-    config = ModelConfig(
-        encoder=enc, n_countries=3, n_provinces=4, hidden_size=5, mode=MODE_COUNTRY, loss_weights=(1, 0.5)
-    )
+    config = ModelConfig(encoder=enc, n_countries=3, n_provinces=4, mode=MODE_COUNTRY, loss_weights=(1, 0.5))
     doc = _config_document(config, ["egypt", "iraq", "jordan"], ["p0", "p1", "p2", "p3"], build_vocab(["a b"]))
     assert doc == (
         b'{"country_labels":["egypt","iraq","jordan"],"model":{"encoder":{"d_ff":8,"d_model":4,'
-        b'"dropout_rate":0.0,"l_max":4,"n_heads":1,"n_layers":1,"vocab_size":5},"hidden_size":5,'
+        b'"dropout_rate":0.0,"l_max":4,"n_heads":1,"n_layers":1,"vocab_size":5},'
         b'"loss_weights":[1.0,0.5],"mode":"country","n_countries":3,"n_provinces":4},'
         b'"province_labels":["p0","p1","p2","p3"],"vocab":["[PAD]","[UNK]","[CLS]","a","b"]}'
     )

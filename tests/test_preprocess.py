@@ -84,31 +84,28 @@ def test_clean_full_arabic_block_scan():
 
 
 def test_build_vocab_basic_ranking():
-    vocab = build_vocab(["a a b"], min_frequency=1, max_size=100)
+    vocab = build_vocab(["a a b"], max_size=100)
     assert vocab.id_to_token == ["[PAD]", "[UNK]", "[CLS]", "a", "b"]
     assert vocab.token_to_id == {"a": 3, "b": 4}
 
 
-def test_build_vocab_min_frequency_threshold():
-    vocab = build_vocab(["a a b"], min_frequency=2, max_size=100)
-    assert vocab.token_to_id == {"a": 3}
-
-
 def test_build_vocab_tie_breaks_lexicographically():
-    vocab = build_vocab(["y x"], min_frequency=1, max_size=100)
+    vocab = build_vocab(["y x"], max_size=100)
     assert vocab.token_to_id["x"] == 3
     assert vocab.token_to_id["y"] == 4
 
 
 def test_build_vocab_max_size_truncates():
-    vocab = build_vocab(["a a a b b c"], min_frequency=1, max_size=5)
+    vocab = build_vocab(["a a a b b c"], max_size=5)
     assert len(vocab) == 5
     assert "c" not in vocab.token_to_id
+    with pytest.raises(ValueError, match="max_size must be >= 3"):
+        build_vocab(["a"], max_size=2)
 
 
 def test_build_vocab_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty corpus"):
-        build_vocab([], min_frequency=1, max_size=10)
+        build_vocab([], max_size=10)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +115,7 @@ def test_build_vocab_empty_corpus_rejected():
 
 @pytest.fixture
 def small_vocab():
-    return build_vocab(["a a b"], min_frequency=1, max_size=100)
+    return build_vocab(["a a b"], max_size=100)
 
 
 def test_encode_empty_text(small_vocab):

@@ -165,7 +165,7 @@ def tiny_setup(seed=0, mode="mtl", loss_weights=(1.0, 1.0)):
         )
     )
     train_ds, dev_ds, _ = splits
-    vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples], 1, 256)
+    vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples], max_size=256)
     enc = EncoderConfig(d_model=16, n_layers=1, n_heads=2, d_ff=32, l_max=10, vocab_size=len(vocab), dropout_rate=0.0)
     config = ModelConfig(
         encoder=enc,
