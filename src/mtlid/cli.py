@@ -64,9 +64,14 @@ def _sha256(path: str | Path) -> str:
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
+    """Replace path only once the whole manifest is written; a failure leaves no temporary file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _runtime() -> dict:

@@ -30,6 +30,7 @@ from .tensor import (
     cross_entropy_from_logits,
     init_parameters,
     linear,
+    parameter_views,
     require_count,
     require_real,
     scale,
@@ -118,17 +119,19 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 
 class MtlModel:
-    """Encoder + per-task attention pooling + per-task two-layer classifiers."""
+    """Encoder + per-task attention pooling + per-task two-layer classifiers; params view values."""
 
     def __init__(
         self,
         config: ModelConfig,
         global_seed: int = 0,
         dtype=np.float32,
-        params: dict[str, Tensor] | None = None,
+        values: np.ndarray | None = None,
     ):
         self.config = config
-        self.params = params if params is not None else init_parameters(param_specs(config), global_seed, dtype)
+        specs = param_specs(config)
+        self.values = values if values is not None else init_parameters(specs, global_seed, dtype)
+        self.params = parameter_views(self.values, specs)
 
     def forward(
         self,
@@ -223,30 +226,22 @@ def save_checkpoint(
 ) -> None:
     """Write magic, version, config document, parameter data, CRC32.
 
-    The parameter data is each parameter's raw float32 LE values, back to
-    back in param_specs order: the config in the document fixes every
-    name and shape, so none is written. The trailer is the zlib CRC32 of
-    every preceding byte, as u32 LE. The bytes go to a temporary file that
-    replaces path only once complete, so a failed write leaves any
-    previous checkpoint untouched.
+    The parameter data is model.values as raw float32 LE: the config in
+    the document fixes every name and shape, so none is written. The
+    trailer is the zlib CRC32 of every preceding byte, as u32 LE. The
+    bytes go to a temporary file that replaces path only once complete,
+    so a failed write leaves any previous checkpoint untouched.
     """
     doc = _config_document(model.config, country_labels, province_labels, vocab)
-    body = b"".join(
-        [
-            _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(doc)),
-            doc,
-            *(
-                np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes()
-                for name, _, _ in param_specs(model.config)
-            ),
-        ]
-    )
+    head = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(doc)) + doc
+    data = np.asarray(model.values, "<f4")  # no copy when already float32
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(body)
-            f.write(struct.pack("<I", zlib.crc32(body)))
+            f.write(head)
+            f.write(data)
+            f.write(struct.pack("<I", zlib.crc32(data, zlib.crc32(head))))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -306,15 +301,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"parameter data holds {size - data_start} bytes, config expects {4 * count}"
         )
-    values = np.frombuffer(blob, dtype="<f4", count=count, offset=data_start)
-    params: dict[str, Tensor] = {}
-    start = 0
-    for name, shape, _ in specs:
-        data = values[start : start + math.prod(shape)].reshape(shape)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
-        params[name] = Tensor(data.astype(np.float32), requires_grad=True)
-        start += data.size
+    values = np.frombuffer(blob, dtype="<f4", count=count, offset=data_start).astype(np.float32)
+    model = MtlModel(config, values=values)
+    if not np.isfinite(values).all():
+        name = next(name for name, p in model.params.items() if not np.isfinite(p.data).all())
+        raise CheckpointError(f"parameter {name!r} holds a non-finite value")
     vocab = Vocabulary(tokens)
-    model = MtlModel(config, params=params)
     return Checkpoint(model=model, country_labels=country_labels, province_labels=province_labels, vocab=vocab)

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tensor import require_count
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -62,6 +64,7 @@ def build_vocab(corpus: Sequence[str], max_size: int = VOCAB_SIZE) -> Vocabulary
     """
     if len(corpus) == 0:
         raise ValueError("build_vocab: empty corpus")
+    require_count("max_size", max_size)
     if max_size < len(RESERVED_TOKENS):
         raise ValueError(f"max_size must be >= {len(RESERVED_TOKENS)}")
     counts: Counter[str] = Counter()

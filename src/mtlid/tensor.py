@@ -20,11 +20,12 @@ import contextvars
 import hashlib
 import math
 import numbers
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+ParamSpec = tuple[str, tuple[int, ...], str]  # name, shape, init kind
 
 
 class ShapeError(ValueError):
@@ -658,17 +659,13 @@ def trunc_normal(shape: Sequence[int], rng: np.random.Generator, dtype=DEFAULT_D
     return out.astype(dtype)
 
 
-def init_parameters(
-    specs: Iterable[tuple[str, tuple[int, ...], str]],
-    global_seed: int,
-    dtype=DEFAULT_DTYPE,
-) -> dict[str, Tensor]:
-    """Materialize named parameters from (name, shape, kind) specs.
+def init_parameters(specs: Sequence[ParamSpec], global_seed: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """Every parameter of (name, shape, kind) specs, back to back in one flat array.
 
     kind is one of: "normal" (one name-seeded truncated-normal draw of
-    the full shape), "zeros" or "ones".
+    the full shape), "zeros" or "ones". parameter_views names the parts.
     """
-    params: dict[str, Tensor] = {}
+    parts = []
     for name, shape, kind in specs:
         if kind == "normal":
             arr = trunc_normal(shape, name_seeded_rng(global_seed, name), dtype=dtype)
@@ -678,8 +675,22 @@ def init_parameters(
             arr = np.ones(shape, dtype=dtype)
         else:
             raise ValueError(f"unknown init kind {kind!r} for parameter {name!r}")
-        params[name] = Tensor(arr, requires_grad=True)
-    return params
+        parts.append(arr.ravel())
+    return np.concatenate(parts)
+
+
+def parameter_views(values: np.ndarray, specs: Sequence[ParamSpec]) -> dict[str, Tensor]:
+    """Named parameters viewing the flat float array values, back to back in specs order.
+
+    Each shares values' memory: an in-place write to either shows in both.
+    """
+    bounds = np.cumsum([0] + [math.prod(shape) for _, shape, _ in specs]).tolist()
+    if values.dtype not in (np.float32, np.float64) or values.shape != (bounds[-1],):
+        raise ValueError(f"parameters need a ({bounds[-1]},) float array, got {values.dtype} {values.shape}")
+    return {
+        name: Tensor(values[lo:hi].reshape(shape), requires_grad=True)
+        for (name, shape, _), lo, hi in zip(specs, bounds, bounds[1:])
+    }
 
 
 class NonFiniteGradientError(FloatingPointError):

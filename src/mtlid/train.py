@@ -178,7 +178,7 @@ def train(
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_epoch = -1
-    best_snapshot: dict[str, np.ndarray] | None = None
+    best_snapshot: np.ndarray | None = None
     n = len(seqs)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
@@ -211,11 +211,10 @@ def train(
             if f1 > best_f1:
                 best_f1 = f1
                 best_epoch = epoch
-                best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
+                best_snapshot = model.values.copy()
         history.append(record)
     if best_snapshot is not None:
-        for name, arr in best_snapshot.items():
-            model.params[name].data = arr
+        model.values[...] = best_snapshot
     else:
         best_epoch = cfg.epochs
     return TrainResult(history=history, best_epoch=best_epoch)

@@ -33,7 +33,7 @@ from mtlid.preprocess import (
     build_vocab,
     clean_text,
 )
-from mtlid.tensor import Tensor, init_parameters
+from mtlid.tensor import Tensor, init_parameters, parameter_views
 from mtlid.train import TrainConfig, evaluate, metrics_from_predictions, train
 
 
@@ -92,7 +92,8 @@ def test_criterion_2_attention_contract():
     with criterion(2, "attention contract"):
         rng = np.random.default_rng(3)
         d, l = 6, 10
-        params = init_parameters(param_specs(d, l, "country"), 4, np.float64)
+        specs = param_specs(d, l, "country")
+        params = parameter_views(init_parameters(specs, 4, np.float64), specs)
         h_data = rng.normal(scale=2.0, size=(1000, l, d))
         mask = rng.random((1000, l)) < 0.5
         mask[np.arange(1000), rng.integers(0, l, size=1000)] = True  # no degenerate rows

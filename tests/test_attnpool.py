@@ -5,11 +5,12 @@ import pytest
 
 from gradcheck import max_grad_error
 from mtlid.attnpool import param_specs, task_attention
-from mtlid.tensor import DegenerateMaskError, Tensor, init_parameters, mul, sum_all
+from mtlid.tensor import DegenerateMaskError, Tensor, init_parameters, mul, parameter_views, sum_all
 
 
 def make_params(d=3, l_max=5, task="country", seed=0, dtype=np.float64):
-    p = init_parameters(param_specs(d, l_max, task), seed, dtype)
+    specs = param_specs(d, l_max, task)
+    p = parameter_views(init_parameters(specs, seed, dtype), specs)
     return p[f"{task}_attn.w_a"], p[f"{task}_attn.w_alpha"]
 
 
@@ -84,8 +85,9 @@ def test_all_masked_row_raises():
 
 def test_tasks_share_no_parameters():
     d, l_max = 4, 6
-    c = init_parameters(param_specs(d, l_max, "country"), 0, np.float64)
-    p = init_parameters(param_specs(d, l_max, "province"), 0, np.float64)
+    c_specs, p_specs = param_specs(d, l_max, "country"), param_specs(d, l_max, "province")
+    c = parameter_views(init_parameters(c_specs, 0, np.float64), c_specs)
+    p = parameter_views(init_parameters(p_specs, 0, np.float64), p_specs)
     rng = np.random.default_rng(3)
     h_data = rng.normal(size=(2, 6, 4))
     mask = np.ones((2, 6), dtype=bool)

@@ -250,6 +250,19 @@ def test_diverging_run_fails_without_artifacts(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_failed_manifest_write_leaves_no_temporary_file(corpus, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)  # os.replace cannot put a file there
+    flags = {
+        "train": ["--train", str(corpus["train"]), "--dev", str(corpus["dev"]), "--config", str(corpus["config"])],
+        "synth": ["--n-countries", "2", "--provinces-per-country", "2", "--examples-per-province", "4"],
+    }[command]
+    assert main([command, *flags, "--out", str(out)]) == 1
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (out / "manifest.json.tmp").exists()
+
+
 def test_non_utf8_training_data_is_exit_2(corpus, tmp_path, capsys):
     bad = tmp_path / "latin1.tsv"
     bad.write_bytes(corpus["train"].read_bytes() + "x999\tcaf\u00e9\tc00\tc00p00\n".encode("latin-1"))

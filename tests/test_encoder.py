@@ -12,7 +12,7 @@ from mtlid.encoder import (
     param_specs,
 )
 from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, stack_sequences
-from mtlid.tensor import Tensor, init_parameters, name_seeded_rng, sum_all, trunc_normal
+from mtlid.tensor import Tensor, init_parameters, name_seeded_rng, parameter_views, sum_all, trunc_normal
 
 TOY = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.0)
 
@@ -24,7 +24,7 @@ def make_seq(rng, true_length, vocab_size=20):
 
 @pytest.fixture
 def toy_params():
-    return init_parameters(param_specs(TOY), 0, np.float64)
+    return parameter_views(init_parameters(param_specs(TOY), 0, np.float64), param_specs(TOY))
 
 
 def test_config_validation():
@@ -114,7 +114,7 @@ def test_attention_output_ignores_padded_positions(toy_params, n_heads):
 
 def test_dropout_only_in_train_mode():
     cfg = EncoderConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16, l_max=8, vocab_size=20, dropout_rate=0.5)
-    params = init_parameters(param_specs(cfg), 0)
+    params = parameter_views(init_parameters(param_specs(cfg), 0), param_specs(cfg))
     rng = np.random.default_rng(8)
     seqs = [make_seq(rng, 6)]
     eval_a = encode_batch(seqs, params, cfg, train_mode=False).h.data
@@ -144,7 +144,7 @@ def test_every_parameter_gets_gradient(toy_params):
 
 def test_param_specs_cover_init():
     names = [name for name, _, _ in param_specs(TOY)]
-    params = init_parameters(param_specs(TOY), 0)
+    params = parameter_views(init_parameters(param_specs(TOY), 0), param_specs(TOY))
     assert sorted(names) == sorted(params)
     assert params["encoder.layer0.ln1.gain"].data.min() == 1.0
     assert np.all(params["encoder.layer0.attn.bq"].data == 0.0)

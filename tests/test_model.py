@@ -321,7 +321,7 @@ def test_checkpoint_layout_is_header_document_data_trailer(saved):
     assert blob[10 : 10 + doc_len] == _config_document(model.config, labels_c, labels_p, vocab)
     names = [name for name, _, _ in param_specs(model.config)]
     data = b"".join(model.params[name].data.astype("<f4").tobytes() for name in names)
-    assert blob[10 + doc_len : -4] == data
+    assert blob[10 + doc_len : -4] == data == np.asarray(model.values, "<f4").tobytes()
     assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
     assert list(load_checkpoint(path).model.params) == names == list(model.params)
 
@@ -487,13 +487,23 @@ def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(model_mod.struct, "pack", failing_pack)
-    for p in model.params.values():
-        p.data = p.data + 1.0
+    model.values += 1.0
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, model, labels_c, labels_p, vocab)
     assert calls == [True]
     assert path.read_bytes() == before
     assert list(path.parent.iterdir()) == [path]
+    monkeypatch.undo()
+    save_checkpoint(path, model, labels_c, labels_p, vocab)
+    assert path.read_bytes() != before
+
+
+def test_model_values_must_hold_every_parameter_as_floats():
+    config = ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4)
+    count = MtlModel(config).values.size
+    for values in (np.zeros(count - 1, np.float32), np.zeros(count, np.int64), np.zeros((1, count), np.float32)):
+        with pytest.raises(ValueError, match=rf"parameters need a \({count},\) float array"):
+            MtlModel(config, values=values)
 
 
 def test_checkpoint_predictions_survive_round_trip(saved):

@@ -1,5 +1,7 @@
 """Cleaning, vocabulary construction, and sequence encoding contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,9 @@ def test_build_vocab_max_size_truncates():
     assert "c" not in vocab.token_to_id
     with pytest.raises(ValueError, match="max_size must be >= 3"):
         build_vocab(["a"], max_size=2)
+    for cap in (3.5, 5.0, "7", None, True):
+        with pytest.raises(ValueError, match=re.escape(f"max_size must be an integer, got {cap!r}")):
+            build_vocab(["a b c"], max_size=cap)
 
 
 def test_build_vocab_empty_corpus_rejected():

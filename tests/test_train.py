@@ -8,7 +8,7 @@ import pytest
 
 from mtlid.data import DataError, Dataset, Example, SynthConfig, synth_generate
 from mtlid.encoder import EncoderConfig
-from mtlid.model import MtlModel, ModelConfig
+from mtlid.model import MODES, MtlModel, ModelConfig, load_checkpoint, param_specs, save_checkpoint
 from mtlid.preprocess import build_vocab, clean_text
 from mtlid.train import (
     DivergenceError,
@@ -198,6 +198,42 @@ def test_train_deterministic_history():
     assert lines_a == lines_b
     for name in params_a:
         assert np.array_equal(params_a[name], params_b[name])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_best_epoch_restore_equals_training_to_that_epoch(mode):
+    train_ds, dev_ds, vocab, config = tiny_setup(seed=0, mode=mode)
+    a = MtlModel(config, global_seed=0)
+    res = train(a, train_ds, dev_ds, vocab, TrainConfig(epochs=6, batch_size=8, seed=0))
+    assert res.best_epoch < 6
+    b = MtlModel(config, global_seed=0)
+    train(b, train_ds, None, vocab, TrainConfig(epochs=res.best_epoch, batch_size=8, seed=0))
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+def assert_parameters_view_values(model):
+    """Each parameter is the run of model.values at its param_specs offset."""
+    start = 0
+    for name, shape, _ in param_specs(model.config):
+        data = model.params[name].data
+        assert data.shape == shape and np.shares_memory(data, model.values), name
+        assert data.ctypes.data == model.values[start:].ctypes.data, name
+        start += data.size
+    assert start == model.values.size
+    assert list(model.params) == [name for name, _, _ in param_specs(model.config)]
+
+
+def test_parameters_stay_views_of_values(tmp_path):
+    train_ds, dev_ds, vocab, config = tiny_setup()
+    model = MtlModel(config, global_seed=0)
+    assert_parameters_view_values(model)
+    res = train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=6, batch_size=8, seed=0))
+    assert res.best_epoch < 6  # the best epoch was restored
+    assert_parameters_view_values(model)
+    save_checkpoint(tmp_path / "model.ckpt", model, train_ds.country_labels, train_ds.province_labels, vocab)
+    loaded = load_checkpoint(tmp_path / "model.ckpt").model
+    assert_parameters_view_values(loaded)
+    assert loaded.values.tobytes() == model.values.tobytes()
 
 
 def test_train_loss_decreases_on_easy_data():
