@@ -63,15 +63,19 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    """Replace path only once the whole manifest is written; a failure leaves no temporary file."""
+def _write_text(path: Path, text: str) -> None:
+    """Replace path only once the whole text is written; a failure leaves no temporary file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_manifest(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _runtime() -> dict:
@@ -223,7 +227,7 @@ def cmd_predict(args) -> int:
         names = [labels[task][preds[task][i]] if task in preds else "NA" for task in labels]
         lines.append("\t".join([ex_id, *names]) + "\n")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("".join(lines), encoding="utf-8")
+    _write_text(out, "".join(lines))
     return 0
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import require_count
+from .tensor import is_integer, require_count
 
 PAD_ID = 0
 UNK_ID = 1
@@ -91,8 +91,8 @@ class TokenSequence:
 
 def encode(text: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
     """Map cleaned text to [CLS] + token ids, truncated to l_max."""
-    if l_max < 2:
-        raise ValueError("l_max must be >= 2")
+    if not is_integer(l_max) or l_max < 2:
+        raise ValueError(f"l_max must be an integer >= 2, got {l_max!r}")
     kept = [CLS_ID] + [vocab.id_for(tok) for tok in text.split()[: l_max - 1]]
     return TokenSequence(np.array(kept, dtype=np.int64))
 

@@ -20,7 +20,7 @@ import contextvars
 import hashlib
 import math
 import numbers
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -694,11 +694,7 @@ def parameter_views(values: np.ndarray, specs: Sequence[ParamSpec]) -> dict[str,
 
 
 class NonFiniteGradientError(FloatingPointError):
-    """A parameter's gradient holds inf or nan; the step changed nothing."""
-
-    def __init__(self, name: str):
-        super().__init__(f"non-finite gradient in {name!r}")
-        self.name = name
+    """The gradient holds inf or nan; the step changed nothing."""
 
 
 ADAM_BETA1 = 0.9
@@ -707,49 +703,39 @@ ADAM_EPSILON = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a dict of named parameters, updated in place.
+    """Bias-corrected Adam over one flat array of values and one of their gradients.
 
     The moment decay rates and the denominator's epsilon are the module
     constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON.
 
-    The first and second moments m and v are one flat buffer each, holding
-    the parameters back to back in registration order, so a step runs each
-    elementwise operation once over all parameters. All parameters must
-    share one dtype.
+    values, grads and the moments m and v share one shape and dtype, so a
+    step runs each elementwise operation once over every parameter and
+    updates values in place.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], learning_rate: float = 1e-3):
+    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float = 1e-3):
         require_real("learning_rate", learning_rate)
         if learning_rate <= 0.0:
             raise ValueError("learning_rate must be finite and positive")
-        self.params = dict(params)
-        if not self.params:
-            raise ValueError("Adam needs at least one parameter")
-        dtypes = {p.dtype for p in self.params.values()}
-        if len(dtypes) != 1:
-            raise ValueError(f"Adam: parameters mix dtypes {sorted(str(d) for d in dtypes)}")
+        if grads.dtype != values.dtype or grads.shape != values.shape:
+            raise ValueError(
+                f"Adam: grads {grads.dtype} {grads.shape} do not match values {values.dtype} {values.shape}"
+            )
+        self.values, self.grads = values, grads
         self.learning_rate = learning_rate
-        bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
-        self._spans = list(zip(bounds[:-1], bounds[1:]))
-        self.m = np.zeros(bounds[-1], dtype=dtypes.pop())
-        self.v = np.zeros_like(self.m)
+        self.m = np.zeros_like(values)
+        self.v = np.zeros_like(values)
         self.step_count = 0
 
     def step(self) -> None:
-        """Apply one update; every registered parameter must hold a gradient.
+        """Apply one update from grads, which it then overwrites as scratch.
 
-        Raises NonFiniteGradientError, before any state changes, when a
+        Raises NonFiniteGradientError, before any state changes, when the
         gradient holds inf or nan.
         """
-        grads = []
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
-            grads.append(p.grad.ravel())
-        g = np.concatenate(grads)
+        g = self.grads
         if not np.isfinite(g).all():
-            name = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
-            raise NonFiniteGradientError(name)
+            raise NonFiniteGradientError("non-finite gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1**t
@@ -770,9 +756,4 @@ class Adam:
         np.divide(m, bc1, out=update)
         update *= self.learning_rate
         update /= g
-        for p, (lo, hi) in zip(self.params.values(), self._spans):
-            p.data -= update[lo:hi].reshape(p.data.shape)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.values -= update

@@ -15,9 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset
-from .model import TASKS, MtlModel, compute_loss, predict
+from .model import TASKS, MtlModel, compute_loss, param_specs, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
-from .tensor import Adam, NonFiniteGradientError, no_grad, require_count, require_real, require_seed
+from .tensor import (
+    Adam,
+    NonFiniteGradientError,
+    no_grad,
+    parameter_views,
+    require_count,
+    require_real,
+    require_seed,
+)
 
 
 class DivergenceError(RuntimeError):
@@ -156,13 +164,14 @@ def train(
     vocab: Vocabulary,
     cfg: TrainConfig,
 ) -> TrainResult:
-    """Seeded epoch loop: shuffle, batch, backward, Adam step, grad reset.
+    """Seeded epoch loop: shuffle, batch, backward, Adam step.
 
     The last partial batch still trains. Dev, when given, is scored after
     every epoch, and after the final epoch the model's parameters are
     restored to the best dev epoch.
     Raises DivergenceError, before any update from that step, at the first
-    step whose loss or whose gradient is not finite.
+    step whose loss or whose gradient is not finite. Each parameter's grad
+    views one gradient array for the length of the call, and is None after.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -173,46 +182,51 @@ def train(
     labels_c = np.array([ex.country for ex in dataset_train.examples])
     labels_p = np.array([ex.province for ex in dataset_train.examples])
     rng = np.random.default_rng(cfg.seed)
-    adam = Adam(model.params, learning_rate=cfg.learning_rate)
+    grads = np.zeros_like(model.values)
+    adam = Adam(model.values, grads, learning_rate=cfg.learning_rate)
     key_task = model.config.tasks()[0][0]
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_epoch = -1
     best_snapshot: np.ndarray | None = None
     n = len(seqs)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        # A diverging step overflows inside the forward pass; the loss and
-        # gradient checks below report it, so numpy's warnings are noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
-                idx = order[start : start + cfg.batch_size]
-                batch = [seqs[i] for i in idx]
-                logits_c, logits_p = model.forward(batch, train_mode=True, rng=rng)
-                total, report = compute_loss(logits_c, logits_p, labels_c[idx], labels_p[idx], model.config)
-                if not math.isfinite(report.total):
-                    raise DivergenceError(
-                        f"training diverged: loss {report.total} at epoch {epoch}, step {step}"
-                    )
-                total.backward()
-                try:
-                    adam.step()
-                except NonFiniteGradientError as exc:
-                    raise DivergenceError(
-                        f"training diverged: loss {report.total} at epoch {epoch}, step {step} ({exc})"
-                    ) from exc
-                adam.zero_grad()
-                loss_sum += report.total * len(idx)
-        record = EpochRecord(epoch=epoch, train_loss=loss_sum / n)
-        if dataset_dev is not None:
-            record.dev = evaluate(model, dataset_dev, vocab)
-            f1 = record.dev[key_task].macro_f1
-            if f1 > best_f1:
-                best_f1 = f1
-                best_epoch = epoch
-                best_snapshot = model.values.copy()
-        history.append(record)
+    for name, view in parameter_views(grads, param_specs(model.config)).items():
+        model.params[name].grad = view.data  # backward() accumulates into it
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            # A diverging step overflows inside the forward pass; the loss and
+            # gradient checks below report it, so numpy's warnings are noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
+                    idx = order[start : start + cfg.batch_size]
+                    batch = [seqs[i] for i in idx]
+                    logits_c, logits_p = model.forward(batch, train_mode=True, rng=rng)
+                    total, report = compute_loss(logits_c, logits_p, labels_c[idx], labels_p[idx], model.config)
+                    diverged = f"training diverged: loss {report.total} at epoch {epoch}, step {step}"
+                    if not math.isfinite(report.total):
+                        raise DivergenceError(diverged)
+                    grads.fill(0)
+                    total.backward()
+                    try:
+                        adam.step()
+                    except NonFiniteGradientError as exc:
+                        name = next(name for name, p in model.params.items() if not np.isfinite(p.grad).all())
+                        raise DivergenceError(f"{diverged} (non-finite gradient in {name!r})") from exc
+                    loss_sum += report.total * len(idx)
+            record = EpochRecord(epoch=epoch, train_loss=loss_sum / n)
+            if dataset_dev is not None:
+                record.dev = evaluate(model, dataset_dev, vocab)
+                f1 = record.dev[key_task].macro_f1
+                if f1 > best_f1:
+                    best_f1 = f1
+                    best_epoch = epoch
+                    best_snapshot = model.values.copy()
+            history.append(record)
+    finally:
+        for p in model.params.values():
+            p.grad = None
     if best_snapshot is not None:
         model.values[...] = best_snapshot
     else:

@@ -478,6 +478,24 @@ def test_predict_handles_unknown_tokens(trained, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
+def test_failed_predict_write_keeps_the_earlier_file(corpus, trained, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "preds.tsv"
+    argv = ["predict", "--model", str(trained / "model.ckpt"), "--in", str(corpus["test"]), "--out", str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    write_text = Path.write_text
+
+    def partial_write(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", partial_write)
+    assert main(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert not (tmp_path / "preds.tsv.tmp").exists()
+
+
 def test_predict_bad_out_is_usage_error(corpus, trained, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n", encoding="utf-8")

@@ -17,6 +17,7 @@ from mtlid.encoder import EncoderConfig
 from mtlid.model import (
     MODE_COUNTRY,
     MODE_PROVINCE,
+    MODES,
     CheckpointError,
     MtlModel,
     ModelConfig,
@@ -224,6 +225,21 @@ def test_total_loss_tensor_backpropagates_both_heads():
     assert np.abs(model.params["country_cls.w2"].grad).max() > 0
     assert np.abs(model.params["province_cls.w2"].grad).max() > 0
     assert np.abs(model.params["encoder.tok_emb"].grad).max() > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_parameter_gets_a_nonzero_gradient(mode):
+    """train's gradient buffer starts zeroed, so a parameter no loss reaches
+    would step on zeros unnoticed; with default weights none is unreached."""
+    config = ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4, mode=mode)
+    model = MtlModel(config, global_seed=8)
+    rng = np.random.default_rng(8)
+    seqs = [make_seq(rng, true_length=n) for n in (4, 2, 3)]
+    logits_c, logits_p = model.forward(seqs)
+    total, _ = compute_loss(logits_c, logits_p, np.array([0, 1, 2]), np.array([3, 1, 0]), config)
+    total.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
 
 def test_head_isolation_under_zero_weight():
@@ -533,9 +549,9 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="learning_rate must be finite"):
         TrainConfig(learning_rate=math.inf)
     with pytest.raises(ValueError, match="learning_rate must be finite"):
-        Adam({"p": Tensor(np.zeros(2), requires_grad=True)}, learning_rate=math.nan)
+        Adam(np.zeros(2), np.zeros(2), learning_rate=math.nan)
     with pytest.raises(ValueError, match="learning_rate must be finite"):
-        Adam({"p": Tensor(np.zeros(2), requires_grad=True)}, learning_rate=True)
+        Adam(np.zeros(2), np.zeros(2), learning_rate=True)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         TrainConfig(seed=-3)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):

@@ -158,8 +158,9 @@ def test_encode_unknown_token_is_unk(small_vocab):
 
 
 def test_encode_requires_width_two(small_vocab):
-    with pytest.raises(ValueError):
-        encode("a", small_vocab, l_max=1)
+    for width in (1, 2.5, "4", True):
+        with pytest.raises(ValueError, match=re.escape(f"l_max must be an integer >= 2, got {width!r}")):
+            encode("a", small_vocab, l_max=width)
 
 
 def test_stack_sequences_mask_is_prefix(small_vocab):

@@ -8,8 +8,17 @@ import pytest
 
 from mtlid.data import DataError, Dataset, Example, SynthConfig, synth_generate
 from mtlid.encoder import EncoderConfig
-from mtlid.model import MODES, MtlModel, ModelConfig, load_checkpoint, param_specs, save_checkpoint
-from mtlid.preprocess import build_vocab, clean_text
+from mtlid.model import (
+    MODES,
+    TASKS,
+    MtlModel,
+    ModelConfig,
+    compute_loss,
+    load_checkpoint,
+    param_specs,
+    save_checkpoint,
+)
+from mtlid.preprocess import build_vocab, clean_text, encode
 from mtlid.train import (
     DivergenceError,
     EpochRecord,
@@ -268,6 +277,27 @@ def test_non_finite_gradient_under_finite_loss_stops_before_the_update():
         str(info.value),
     ), str(info.value)
     assert all(np.isfinite(p.data).all() for p in model.params.values())
+
+
+def test_train_owns_its_gradients_and_leaves_none_behind():
+    train_ds, dev_ds, vocab, config = tiny_setup()
+    cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
+    clean = MtlModel(config, global_seed=0)
+    train(clean, train_ds, dev_ds, vocab, cfg)
+    # a gradient from an earlier backward() must not reach the first step
+    model = MtlModel(config, global_seed=0)
+    examples = train_ds.examples[:4]
+    seqs = [encode(clean_text(ex.text), vocab, config.encoder.l_max) for ex in examples]
+    logits_c, logits_p = model.forward(seqs)
+    labels_c, labels_p = (np.array([getattr(ex, task) for ex in examples]) for task in TASKS)
+    compute_loss(logits_c, logits_p, labels_c, labels_p, config)[0].backward()
+    train(model, train_ds, dev_ds, vocab, cfg)
+    assert model.values.tobytes() == clean.values.tobytes()
+    assert all(p.grad is None for p in model.params.values())
+    diverging = MtlModel(config, global_seed=0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="non-finite gradient"):
+        train(diverging, train_ds, None, vocab, TrainConfig(epochs=3, batch_size=8, learning_rate=1e9))
+    assert all(p.grad is None for p in diverging.params.values())
 
 
 def test_diverging_run_raises_divergence_error_without_numpy_warnings():
