@@ -53,9 +53,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
 
 def build_vocab(corpus: Sequence[str], max_size: int = VOCAB_SIZE) -> Vocabulary:
     """Rank whitespace tokens by (count desc, token asc) and assign ids 3...
@@ -70,7 +67,8 @@ def build_vocab(corpus: Sequence[str], max_size: int = VOCAB_SIZE) -> Vocabulary
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(text.split())
-    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))[: max_size - len(RESERVED_TOKENS)]
+    # sorted is stable under reverse=True, so equal counts keep the token order
+    kept = sorted(sorted(counts), key=counts.__getitem__, reverse=True)[: max_size - len(RESERVED_TOKENS)]
     return Vocabulary(list(RESERVED_TOKENS) + kept)
 
 
@@ -93,7 +91,9 @@ def encode(text: str, vocab: Vocabulary, l_max: int) -> TokenSequence:
     """Map cleaned text to [CLS] + token ids, truncated to l_max."""
     if not is_integer(l_max) or l_max < 2:
         raise ValueError(f"l_max must be an integer >= 2, got {l_max!r}")
-    kept = [CLS_ID] + [vocab.id_for(tok) for tok in text.split()[: l_max - 1]]
+    get = vocab.token_to_id.get
+    # maxsplit leaves the text past the kept tokens unsplit, as one last piece
+    kept = [CLS_ID] + [get(tok, UNK_ID) for tok in text.split(None, l_max - 1)[: l_max - 1]]
     return TokenSequence(np.array(kept, dtype=np.int64))
 
 

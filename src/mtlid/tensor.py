@@ -337,8 +337,11 @@ def _masked_softmax_rows(s: np.ndarray, keep: np.ndarray, op: str) -> np.ndarray
     """
     if not keep.any(axis=-1).all():
         raise DegenerateMaskError(f"{op}: a row has every position masked")
-    np.copyto(s, -np.inf, where=~keep)
-    s -= s.max(axis=-1, keepdims=True)
+    if not keep.all():
+        np.copyto(s, -np.inf, where=~keep)
+    # fmax skips NaN where max returns it, but a NaN score still turns its
+    # whole row NaN through the sum below, so the result is the same.
+    s -= np.fmax.reduce(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtlid.preprocess import (
     ARABIC_DIACRITICS,
@@ -140,9 +141,20 @@ def test_encode_is_cls_then_token_ids_without_padding(small_vocab):
     for _ in range(200):
         words = [tokens[int(i)] for i in rng.integers(0, 3, size=int(rng.integers(0, 12)))]
         seq = encode(" ".join(words), small_vocab, l_max=6)
-        expected = [CLS_ID] + [small_vocab.id_for(w) for w in words][:5]
+        expected = [CLS_ID] + [small_vocab.token_to_id.get(w, UNK_ID) for w in words][:5]
         assert seq.ids.dtype == np.int64 and list(seq.ids) == expected
         assert seq.true_length == len(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    text=st.lists(st.sampled_from(["a", "b", "zz", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\u3000"])).map("".join),
+    l_max=st.integers(2, 8),
+)
+def test_encode_matches_split_then_lookup_on_whitespace_runs(text, l_max):
+    vocab = build_vocab(["a a b"], max_size=100)
+    expected = [CLS_ID] + [vocab.token_to_id.get(t, UNK_ID) for t in text.split()[: l_max - 1]]
+    assert list(encode(text, vocab, l_max).ids) == expected
 
 
 def test_encode_truncates_long_text(small_vocab):

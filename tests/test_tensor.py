@@ -13,6 +13,7 @@ from mtlid.tensor import (
     NonFiniteGradientError,
     ShapeError,
     Tensor,
+    _masked_softmax_rows,
     add,
     attention,
     concat_last,
@@ -171,6 +172,35 @@ def test_softmax_masked_unbroadcast_mask_matches_broadcast_reference(dtype):
             _softmax_masked_reference(scores, m)
         with pytest.raises(DegenerateMaskError):
             softmax_masked(Tensor(scores), m)
+
+
+def _masked_softmax_rows_reference(s, keep):
+    """Every masked entry written to -inf, then the row's max subtracted."""
+    s = s.copy()
+    np.copyto(s, -np.inf, where=~keep)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_rows_matches_max_reference_on_non_finite_scores(dtype):
+    rng = np.random.default_rng(21)
+    specials = np.array([np.inf, -np.inf, np.nan], dtype=dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(300):
+            rows, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            scores = (rng.normal(size=(rows, n)) * rng.choice([1.0, 1e3])).astype(dtype)
+            hit = rng.random(scores.shape) < rng.choice([0.0, 0.1, 0.5])
+            scores[hit] = rng.choice(specials, size=int(hit.sum()))
+            keep = rng.random((rows, n)) < rng.choice([0.5, 1.0])
+            keep[:, 0] = True
+            for mask in (keep, keep[:1], np.ones(n, dtype=bool)):
+                out = _masked_softmax_rows(scores.copy(), mask, "test")
+                expected = _masked_softmax_rows_reference(scores, np.broadcast_to(mask, scores.shape))
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(out, expected, strict=True)  # NaN equals NaN here
 
 
 def test_softmax_masked_rejects_mask_wider_than_scores():

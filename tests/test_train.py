@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mtlid import train as train_mod
 from mtlid.data import DataError, Dataset, Example, SynthConfig, synth_generate
 from mtlid.encoder import EncoderConfig
 from mtlid.model import (
@@ -16,10 +17,13 @@ from mtlid.model import (
     compute_loss,
     load_checkpoint,
     param_specs,
+    predict,
     save_checkpoint,
 )
 from mtlid.preprocess import build_vocab, clean_text, encode
+from mtlid.tensor import no_grad
 from mtlid.train import (
+    INFERENCE_TOKENS,
     DivergenceError,
     EpochRecord,
     MetricsReport,
@@ -28,6 +32,7 @@ from mtlid.train import (
     evaluate,
     format_history_line,
     metrics_from_predictions,
+    predict_texts,
     train,
     write_confusion,
     write_history,
@@ -336,6 +341,89 @@ def test_evaluate_perfect_toy_model():
     train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=25, batch_size=8, seed=0))
     rep = evaluate(model, train_ds, vocab)
     assert rep["country"].accuracy > 0.95
+
+
+# ---------------------------------------------------------------------------
+# inference blocks
+# ---------------------------------------------------------------------------
+
+
+def _mixed_length_setup(mode="mtl"):
+    """A float64 model and texts of every true_length from 1 to l_max, shuffled."""
+    _, _, vocab, config = tiny_setup(mode=mode)
+    l_max = config.encoder.l_max
+    words = sorted(vocab.token_to_id)
+    rng = np.random.default_rng(5)
+    counts = rng.permutation(list(range(l_max + 2)) * 3)  # 0 words is [CLS] alone
+    texts = [" ".join(rng.choice(words, size=n)) for n in counts]
+    return MtlModel(config, global_seed=0, dtype=np.float64), vocab, texts
+
+
+def _true_lengths(model, vocab, texts):
+    return [encode(clean_text(t), vocab, model.config.encoder.l_max).true_length for t in texts]
+
+
+def _record_blocks(monkeypatch, model):
+    """Wrap model.forward to record the true_lengths of each block it runs."""
+    blocks = []
+    forward = model.forward
+
+    def recorded(seqs, *args, **kwargs):
+        blocks.append([s.true_length for s in seqs])
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_blocked_predictions_equal_one_text_at_a_time(monkeypatch, mode):
+    model, vocab, texts = _mixed_length_setup(mode)
+    l_max = model.config.encoder.l_max
+    assert set(_true_lengths(model, vocab, texts)) == set(range(1, l_max + 1))
+    with no_grad():
+        one_by_one = [dict(zip(TASKS, model.forward([encode(clean_text(t), vocab, l_max)]))) for t in texts]
+    expected = {task: np.concatenate([predict(logits[task]) for logits in one_by_one]) for task, _ in model.config.tasks()}
+    for budget in (1, 7, 30, 10**6):
+        monkeypatch.setattr(train_mod, "INFERENCE_TOKENS", budget)
+        for batch_size in (1, 3, 64):
+            got = predict_texts(model, vocab, texts, batch_size)
+            assert sorted(got) == sorted(expected)
+            for task, ids in expected.items():
+                np.testing.assert_array_equal(got[task], ids, err_msg=f"{task} at {budget}/{batch_size}")
+
+
+@pytest.mark.parametrize("budget, batch_size", [(INFERENCE_TOKENS, 128), (INFERENCE_TOKENS, 8), (40, 64), (12, 4), (1, 64)])
+def test_blocks_hold_the_budget_and_the_row_cap_and_close_only_when_full(monkeypatch, budget, batch_size):
+    model, vocab, texts = _mixed_length_setup()
+    texts = texts * 4  # 144 texts: 128 rows at l_max 10 cross the real budget
+    monkeypatch.setattr(train_mod, "INFERENCE_TOKENS", budget)
+    blocks = _record_blocks(monkeypatch, model)
+    predict_texts(model, vocab, texts, batch_size)
+    assert [n for block in blocks for n in block] == _true_lengths(model, vocab, texts)
+    for block, after in zip(blocks, blocks[1:] + [None]):
+        assert len(block) <= batch_size
+        assert len(block) == 1 or len(block) * max(block) <= budget
+        if after is not None:  # the next text would have broken a limit
+            grown = block + after[:1]
+            assert len(grown) > batch_size or len(grown) * max(grown) > budget
+
+
+def test_a_text_over_the_budget_is_a_block_of_one(monkeypatch):
+    model, vocab, _ = _mixed_length_setup()
+    monkeypatch.setattr(train_mod, "INFERENCE_TOKENS", 5)
+    blocks = _record_blocks(monkeypatch, model)
+    long_text = " ".join(["w"] * 20)
+    got = predict_texts(model, vocab, ["a", long_text, "a"])
+    assert blocks == [[2], [model.config.encoder.l_max], [2]]
+    assert all(len(ids) == 3 for ids in got.values())
+    blocks.clear()
+    empty = predict_texts(model, vocab, [])
+    assert blocks == []
+    assert sorted(empty) == ["country", "province"]
+    assert all(ids.shape == (0,) and ids.dtype == np.intp for ids in empty.values())
+    with pytest.raises(ValueError, match="batch_size"):
+        predict_texts(model, vocab, ["a"], batch_size=0)
 
 
 def test_every_epoch_carries_dev_metrics():
