@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    crop,
-    matmul,
-    mul,
-    reshape,
-    softmax_masked,
-    tanh,
-)
+from .tensor import Tensor, crop, softmax_masked, task_scores, weighted_sum
 
 
 @dataclass
@@ -43,18 +35,14 @@ def task_attention(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) ->
     """Pool H [B, L, d] into one vector per example.
 
     w_alpha [l_max, l_max] is cropped to its leading L x L corner, and
-    the [B, L] scores mix positions in one 2-D product with it. Masked
-    positions are zeroed before that product and excluded from the
-    softmax, so padding influences neither the scores nor the pooled
-    vector. Raises DegenerateMaskError on an all-masked row.
+    the [B, L] scores mix positions in one 2-D product with it
+    (task_scores). Masked positions are zeroed before that product and
+    excluded from the softmax, so padding influences neither the scores
+    nor the pooled vector. Raises DegenerateMaskError on an all-masked
+    row.
     """
-    b, l, d = h.shape
-    w_alpha = crop(w_alpha, (l, l))
+    l = h.data.shape[1]
     mask = np.asarray(mask, dtype=bool)
-    scores_keep = Tensor(mask.astype(h.data.dtype)[:, :, None])
-    c = mul(tanh(matmul(h, w_a)), scores_keep)  # [B, L, 1]
-    scores = matmul(reshape(c, (b, l)), w_alpha)  # [B, L]
-    alpha = softmax_masked(scores, mask)
-    v = reshape(matmul(reshape(alpha, (b, 1, l)), h), (b, d))
-    return TaskAttentionOutput(v=v, alpha=alpha)
+    alpha = softmax_masked(task_scores(h, mask, w_a, crop(w_alpha, (l, l))), mask)
+    return TaskAttentionOutput(v=weighted_sum(alpha, h), alpha=alpha)
 

@@ -18,7 +18,6 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    concat_last,
     crop,
     dropout,
     embedding,
@@ -69,7 +68,9 @@ def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Named shapes and init kinds for every encoder parameter.
 
     Each weight, the positional table included, is one name-seeded draw
-    of its full shape.
+    of its full shape. A layer's query, key and value projections are
+    one packed weight attn.wqkv [d, 3d] and one bias attn.bqkv [3d],
+    side by side in that order.
     """
     d, ff = cfg.d_model, cfg.d_ff
     specs: list[tuple[str, tuple[int, ...], str]] = [
@@ -78,10 +79,10 @@ def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     ]
     for i in range(cfg.n_layers):
         base = f"encoder.layer{i}"
-        for w in ("wq", "wk", "wv", "wo"):
-            specs.append((f"{base}.attn.{w}", (d, d), "normal"))
-        for b in ("bq", "bk", "bv", "bo"):
-            specs.append((f"{base}.attn.{b}", (d,), "zeros"))
+        specs.append((f"{base}.attn.wqkv", (d, 3 * d), "normal"))
+        specs.append((f"{base}.attn.wo", (d, d), "normal"))
+        specs.append((f"{base}.attn.bqkv", (3 * d,), "zeros"))
+        specs.append((f"{base}.attn.bo", (d,), "zeros"))
         specs.append((f"{base}.ln1.gain", (d,), "ones"))
         specs.append((f"{base}.ln1.bias", (d,), "zeros"))
         specs.append((f"{base}.ff.w1", (d, ff), "normal"))
@@ -115,23 +116,24 @@ def multi_head_attention(
     params: dict[str, Tensor],
     layer: str,
     n_heads: int,
+    rate: float,
+    rng: np.random.Generator | None,
 ) -> Tensor:
     """Self-attention over x [B, L, d]; masked keys get exactly zero weight.
 
-    The query, key and value weights are concatenated on every call, so
-    one product projects all three and the stored parameters keep their
-    own names and shapes. Returns the output [B, L, d].
+    One product with the packed weight projects the queries, keys and
+    values. Returns the output [B, L, d] after dropout at rate.
     """
     attn = f"{layer}.attn."
-    w = concat_last(concat_last(params[attn + "wq"], params[attn + "wk"]), params[attn + "wv"])
-    b = concat_last(concat_last(params[attn + "bq"], params[attn + "bk"]), params[attn + "bv"])
-    ctx = attention(linear(x, w, b), mask, n_heads)
-    return linear(ctx, params[attn + "wo"], params[attn + "bo"])
+    ctx = attention(linear(x, params[attn + "wqkv"], params[attn + "bqkv"]), mask, n_heads)
+    return dropout(linear(ctx, params[attn + "wo"], params[attn + "bo"]), rate, rng)
 
 
-def _feed_forward(x: Tensor, params: dict[str, Tensor], layer: str) -> Tensor:
+def _feed_forward(
+    x: Tensor, params: dict[str, Tensor], layer: str, rate: float, rng: np.random.Generator | None
+) -> Tensor:
     hidden = gelu(linear(x, params[f"{layer}.ff.w1"], params[f"{layer}.ff.b1"]))
-    return linear(hidden, params[f"{layer}.ff.w2"], params[f"{layer}.ff.b2"])
+    return dropout(linear(hidden, params[f"{layer}.ff.w2"], params[f"{layer}.ff.b2"]), rate, rng)
 
 
 def encode_batch(
@@ -152,9 +154,9 @@ def encode_batch(
     x = dropout(embed(ids, params), rate, rng)
     for i in range(cfg.n_layers):
         layer = f"encoder.layer{i}"
-        attn_out = dropout(multi_head_attention(x, mask, params, layer, cfg.n_heads), rate, rng)
+        attn_out = multi_head_attention(x, mask, params, layer, cfg.n_heads, rate, rng)
         x = layer_norm(attn_out, x, params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
-        ff_out = dropout(_feed_forward(x, params, layer), rate, rng)
+        ff_out = _feed_forward(x, params, layer, rate, rng)
         x = layer_norm(ff_out, x, params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
     first = select(x, 0, axis=1)
     pooled = tanh(linear(first, params["encoder.pooler.w"], params["encoder.pooler.b"]))

@@ -51,7 +51,7 @@ MODES = tuple(MODE_TASKS)
 _CLASS_COUNT = {"country": "n_countries", "province": "n_provinces"}  # ModelConfig field per head
 
 CHECKPOINT_MAGIC = b"MTLD"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _HEADER = struct.Struct("<4sHI")  # magic, version, config document length
 
 

@@ -259,21 +259,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     bias is added to it in place. The backward computes only the
     gradients of operands that need one.
     """
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    k, n = w.shape
+    wd, x_shape, w_shape = w.data, x.data.shape, w.data.shape
+    if len(w_shape) != 2 or not x_shape or x_shape[-1] != w_shape[0] or b.data.shape != w_shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes {x_shape}, {w_shape} and {b.data.shape}")
+    k, n = w_shape
     x2 = x.data.reshape(-1, k)
-    y = x2 @ w.data
+    y = x2 @ wd
     y += b.data
 
     def vjp(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gx = (g2 @ wd.T).reshape(x_shape) if x.requires_grad else None
         gw = x2.T @ g2 if w.requires_grad else None
         gb = g2.sum(axis=0) if b.requires_grad else None
         return gx, gw, gb
 
-    return _make(y.reshape(*x.shape[:-1], n), (x, w, b), vjp)
+    return _make(y.reshape(*x_shape[:-1], n), (x, w, b), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -333,12 +334,16 @@ def _masked_softmax_rows(s: np.ndarray, keep: np.ndarray, op: str) -> np.ndarray
     keep is a bool mask that broadcasts to s. Masked entries are set to
     -inf, so they come out exactly 0, and the row maximum is subtracted
     before exponentiating, so the exponentials stay in range. Raises
-    DegenerateMaskError, before writing to s, when a row keeps nothing.
+    DegenerateMaskError, before writing to s, when a row keeps nothing;
+    a row of width 0 keeps nothing.
     """
-    if not keep.any(axis=-1).all():
-        raise DegenerateMaskError(f"{op}: a row has every position masked")
-    if not keep.all():
+    if keep.all():
+        if s.shape[-1] == 0 and math.prod(s.shape[:-1]):
+            raise DegenerateMaskError(f"{op}: a row has every position masked")
+    elif keep.any(axis=-1).all():
         np.copyto(s, -np.inf, where=~keep)
+    else:
+        raise DegenerateMaskError(f"{op}: a row has every position masked")
     # fmax skips NaN where max returns it, but a NaN score still turns its
     # whole row NaN through the sum below, so the result is the same.
     s -= np.fmax.reduce(s, axis=-1, keepdims=True)
@@ -417,6 +422,65 @@ def attention(qkv: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
         return (gqkv.reshape(b, l, width),)
 
     return _make(out.reshape(b, l, width // 3), (qkv,), vjp)
+
+
+def task_scores(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) -> Tensor:
+    """Task-attention scores for h [B, L, d] as one node, [B, L].
+
+    Each position's score tanh(h . w_a) is zeroed at padding (mask [B, L]
+    is true at real positions), and each row of those scores is mixed
+    by w_alpha [L, L]. w_a is [d, 1]. The forward makes the numpy calls
+    of the composed matmul, tanh, mul and reshape graph, so the values
+    are the same; the backward builds the h gradient as a broadcast
+    product, not as an inner-dimension-1 matrix product.
+    """
+    hd = h.data
+    m = np.asarray(mask, dtype=bool)
+    if hd.ndim != 3 or m.shape != hd.shape[:2]:
+        raise ShapeError(f"task_scores: mask {m.shape} does not match [batch, length] of {hd.shape}")
+    b, l, d = hd.shape
+    wa, walpha = w_a.data, w_alpha.data
+    if wa.shape != (d, 1) or walpha.shape != (l, l):
+        raise ShapeError(f"task_scores: w_a {wa.shape} and w_alpha {walpha.shape} do not fit {hd.shape}")
+    t = np.matmul(hd, wa).reshape(b, l)
+    np.tanh(t, out=t)
+    c = t * m
+
+    def vjp(g):
+        gh = gwa = None
+        gwalpha = c.T @ g if w_alpha.requires_grad else None
+        if h.requires_grad or w_a.requires_grad:
+            # through the mask and tanh: g w_alpha^T * m * (1 - t^2)
+            gt = g @ walpha.T
+            gt *= m
+            gt *= 1.0 - t * t
+            if h.requires_grad:
+                gh = gt[:, :, None] * wa[:, 0]
+            if w_a.requires_grad:
+                gwa = hd.reshape(-1, d).T @ gt.reshape(-1, 1)
+        return gh, gwa, gwalpha
+
+    return _make(c @ walpha, (h, w_a, w_alpha), vjp)
+
+
+def weighted_sum(alpha: Tensor, h: Tensor) -> Tensor:
+    """Sum of the rows of h [B, L, d] weighted by alpha [B, L], as one node, [B, d].
+
+    The forward is the batched product alpha [B, 1, L] @ h; the backward
+    builds the h gradient as a broadcast product, not as an
+    inner-dimension-1 matrix product.
+    """
+    ad, hd = alpha.data, h.data
+    if hd.ndim != 3 or ad.shape != hd.shape[:2]:
+        raise ShapeError(f"weighted_sum: weights {ad.shape} do not match [batch, length] of {hd.shape}")
+    b, l, d = hd.shape
+
+    def vjp(g):
+        ga = np.matmul(hd, g[:, :, None]).reshape(b, l) if alpha.requires_grad else None
+        gh = ad[:, :, None] * g[:, None, :] if h.requires_grad else None
+        return ga, gh
+
+    return _make(np.matmul(ad.reshape(b, 1, l), hd).reshape(b, d), (alpha, h), vjp)
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -655,11 +719,21 @@ INIT_SIGMA = 0.02
 def trunc_normal(shape: Sequence[int], rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """Normal(0, INIT_SIGMA) with entries redrawn until all lie within +-2 INIT_SIGMA."""
     out = rng.normal(0.0, INIT_SIGMA, size=tuple(shape))
-    bad = np.abs(out) > 2.0 * INIT_SIGMA
-    while bad.any():
-        out[bad] = rng.normal(0.0, INIT_SIGMA, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * INIT_SIGMA
+    flat = out.reshape(-1)
+    # Redraws go to the out-of-range entries in index order, as boolean
+    # assignment would put them, and an entry in range stays in range, so
+    # only the redrawn entries need checking again.
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * INIT_SIGMA)
+    while bad.size:
+        redraw = rng.normal(0.0, INIT_SIGMA, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * INIT_SIGMA]
     return out.astype(dtype)
+
+
+def _bounds(specs: Sequence[ParamSpec]) -> list[int]:
+    """Where each parameter starts in the flat array, then its total size."""
+    return np.cumsum([0] + [math.prod(shape) for _, shape, _ in specs]).tolist()
 
 
 def init_parameters(specs: Sequence[ParamSpec], global_seed: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -668,18 +742,18 @@ def init_parameters(specs: Sequence[ParamSpec], global_seed: int, dtype=DEFAULT_
     kind is one of: "normal" (one name-seeded truncated-normal draw of
     the full shape), "zeros" or "ones". parameter_views names the parts.
     """
-    parts = []
-    for name, shape, kind in specs:
+    bounds = _bounds(specs)
+    values = np.empty(bounds[-1], dtype=dtype)
+    for (name, shape, kind), lo, hi in zip(specs, bounds, bounds[1:]):
         if kind == "normal":
-            arr = trunc_normal(shape, name_seeded_rng(global_seed, name), dtype=dtype)
+            values[lo:hi] = trunc_normal(shape, name_seeded_rng(global_seed, name), dtype=dtype).ravel()
         elif kind == "zeros":
-            arr = np.zeros(shape, dtype=dtype)
+            values[lo:hi] = 0.0
         elif kind == "ones":
-            arr = np.ones(shape, dtype=dtype)
+            values[lo:hi] = 1.0
         else:
             raise ValueError(f"unknown init kind {kind!r} for parameter {name!r}")
-        parts.append(arr.ravel())
-    return np.concatenate(parts)
+    return values
 
 
 def parameter_views(values: np.ndarray, specs: Sequence[ParamSpec]) -> dict[str, Tensor]:
@@ -687,7 +761,7 @@ def parameter_views(values: np.ndarray, specs: Sequence[ParamSpec]) -> dict[str,
 
     Each shares values' memory: an in-place write to either shows in both.
     """
-    bounds = np.cumsum([0] + [math.prod(shape) for _, shape, _ in specs]).tolist()
+    bounds = _bounds(specs)
     if values.dtype not in (np.float32, np.float64) or values.shape != (bounds[-1],):
         raise ValueError(f"parameters need a ({bounds[-1]},) float array, got {values.dtype} {values.shape}")
     return {

@@ -104,10 +104,10 @@ def test_attention_output_ignores_padded_positions(toy_params, n_heads):
     seqs = [make_seq(rng, 5), make_seq(rng, 8)]
     ids, mask = stack_sequences(seqs)
     x = embed(ids, toy_params).data
-    out = multi_head_attention(Tensor(x), mask, toy_params, "encoder.layer0", n_heads).data
+    out = multi_head_attention(Tensor(x), mask, toy_params, "encoder.layer0", n_heads, 0.0, None).data
     moved = x.copy()
     moved[~mask] = rng.normal(scale=10.0, size=moved[~mask].shape)
-    again = multi_head_attention(Tensor(moved), mask, toy_params, "encoder.layer0", n_heads).data
+    again = multi_head_attention(Tensor(moved), mask, toy_params, "encoder.layer0", n_heads, 0.0, None).data
     assert np.array_equal(again[mask], out[mask])
     assert not np.array_equal(again[~mask], out[~mask])
 
@@ -147,7 +147,7 @@ def test_param_specs_cover_init():
     params = parameter_views(init_parameters(param_specs(TOY), 0), param_specs(TOY))
     assert sorted(names) == sorted(params)
     assert params["encoder.layer0.ln1.gain"].data.min() == 1.0
-    assert np.all(params["encoder.layer0.attn.bq"].data == 0.0)
+    assert np.all(params["encoder.layer0.attn.bqkv"].data == 0.0)
     # the positional table is one name-seeded draw of its full shape
     expected = trunc_normal((TOY.l_max, TOY.d_model), name_seeded_rng(0, "encoder.pos_emb"))
     assert np.array_equal(params["encoder.pos_emb"].data, expected)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtlid import model as model_mod
 from mtlid.data import SynthConfig
-from mtlid.encoder import EncoderConfig
+from mtlid.encoder import EncoderConfig, EncoderOutput, embed
 from mtlid.model import (
     MODE_COUNTRY,
     MODE_PROVINCE,
@@ -28,8 +28,23 @@ from mtlid.model import (
     predict,
     save_checkpoint,
 )
-from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, build_vocab
-from mtlid.tensor import Adam, ShapeError, Tensor, no_grad
+from mtlid.preprocess import CLS_ID, PAD_ID, TokenSequence, build_vocab, stack_sequences
+from mtlid.tensor import (
+    Adam,
+    ShapeError,
+    Tensor,
+    attention,
+    concat_last,
+    dropout,
+    gelu,
+    layer_norm,
+    linear,
+    name_seeded_rng,
+    no_grad,
+    select,
+    tanh,
+    trunc_normal,
+)
 from mtlid.train import TrainConfig
 
 TOY_ENC = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ff=8, l_max=4, vocab_size=12, dropout_rate=0.0)
@@ -113,9 +128,10 @@ def test_forward_matches_hand_unrolled_oracle():
     for i in range(L):
         x[i] = p["encoder.tok_emb"][ids[i]] + p["encoder.pos_emb"][i]
     # single-head self-attention
-    q = x @ p["encoder.layer0.attn.wq"] + p["encoder.layer0.attn.bq"]
-    k = x @ p["encoder.layer0.attn.wk"] + p["encoder.layer0.attn.bk"]
-    v = x @ p["encoder.layer0.attn.wv"] + p["encoder.layer0.attn.bv"]
+    wqkv, bqkv = p["encoder.layer0.attn.wqkv"], p["encoder.layer0.attn.bqkv"]
+    q = x @ wqkv[:, :d] + bqkv[:d]
+    k = x @ wqkv[:, d : 2 * d] + bqkv[d : 2 * d]
+    v = x @ wqkv[:, 2 * d :] + bqkv[2 * d :]
     scores = np.zeros((L, L))
     for i in range(L):
         for j in range(L):
@@ -160,6 +176,105 @@ def test_forward_matches_hand_unrolled_oracle():
     hidden = np.tanh(z @ p["country_cls.w1"] + p["country_cls.b1"])
     expected = hidden @ p["country_cls.w2"] + p["country_cls.b2"]
     np.testing.assert_allclose(logits_c.data[0], expected, atol=1e-5)
+
+
+def _concat_qkv_encode_batch(qkv, seqs, params, cfg, train_mode=False, rng=None):
+    """encode_batch on three projection weights per layer: qkv maps each
+    layer to its (wq, wk, wv, bq, bk, bv) tensors, joined by concat_last on
+    every call, and dropout follows each sublayer's output projection."""
+    ids, mask = stack_sequences(seqs)
+    rate = cfg.dropout_rate if train_mode else 0.0
+    x = dropout(embed(ids, params), rate, rng)
+    for i in range(cfg.n_layers):
+        layer = f"encoder.layer{i}"
+        wq, wk, wv, bq, bk, bv = qkv[layer]
+        w, b = concat_last(concat_last(wq, wk), wv), concat_last(concat_last(bq, bk), bv)
+        ctx = attention(linear(x, w, b), mask, cfg.n_heads)
+        attn_out = dropout(linear(ctx, params[f"{layer}.attn.wo"], params[f"{layer}.attn.bo"]), rate, rng)
+        x = layer_norm(attn_out, x, params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
+        hidden = gelu(linear(x, params[f"{layer}.ff.w1"], params[f"{layer}.ff.b1"]))
+        ff_out = dropout(linear(hidden, params[f"{layer}.ff.w2"], params[f"{layer}.ff.b2"]), rate, rng)
+        x = layer_norm(ff_out, x, params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
+    first = select(x, 0, axis=1)
+    pooled = tanh(linear(first, params["encoder.pooler.w"], params["encoder.pooler.b"]))
+    return EncoderOutput(h=x, pooled=pooled, mask=mask)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", MODES)
+def test_packed_qkv_matches_three_concatenated_weights(mode, dtype, monkeypatch):
+    """A model whose wqkv and bqkv hold [wq | wk | wv] and [bq | bk | bv]
+    gives the logits and train-mode loss of one that concatenates the three
+    on each forward, bitwise, and the packed gradients are the three
+    gradients side by side."""
+    enc = EncoderConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16, l_max=8, vocab_size=12, dropout_rate=0.25)
+    config = ModelConfig(encoder=enc, n_countries=3, n_provinces=4, mode=mode)
+    model = MtlModel(config, global_seed=11, dtype=dtype)
+    qkv = {}
+    for i in range(enc.n_layers):
+        layer = f"encoder.layer{i}"
+        parts = [
+            Tensor(trunc_normal((8, 8), name_seeded_rng(11, f"{layer}.attn.{w}"), dtype), requires_grad=True)
+            for w in ("wq", "wk", "wv")
+        ]
+        rng = np.random.default_rng(i)
+        parts += [Tensor(rng.normal(scale=0.1, size=8).astype(dtype), requires_grad=True) for _ in range(3)]
+        qkv[layer] = parts
+        model.params[f"{layer}.attn.wqkv"].data[...] = np.concatenate([t.data for t in parts[:3]], axis=-1)
+        model.params[f"{layer}.attn.bqkv"].data[...] = np.concatenate([t.data for t in parts[3:]])
+    rng = np.random.default_rng(12)
+    seqs = [make_seq(rng, 8, true_length=n) for n in (5, 2, 7)]
+    labels_c, labels_p = np.array([0, 2, 1]), np.array([3, 0, 1])
+
+    def run(train_mode):
+        logits = model.forward(seqs, train_mode, np.random.default_rng(13) if train_mode else None)
+        total, _ = compute_loss(*logits, labels_c, labels_p, config)
+        return logits, total
+
+    packed = run(False)
+    packed_total = run(True)[1]
+    packed_total.backward()
+    monkeypatch.setattr(
+        model_mod, "encode_batch", lambda *args, **kwargs: _concat_qkv_encode_batch(qkv, *args, **kwargs)
+    )
+    joined = run(False)
+    joined_total = run(True)[1]
+    joined_total.backward()
+    for got, want in zip(packed[0], joined[0]):
+        if want is not None:
+            np.testing.assert_array_equal(got.data, want.data, strict=True)
+    assert packed[1].data == joined[1].data
+    assert packed_total.data == joined_total.data
+    for layer, parts in qkv.items():
+        w_grad = np.concatenate([t.grad for t in parts[:3]], axis=-1)
+        b_grad = np.concatenate([t.grad for t in parts[3:]])
+        np.testing.assert_array_equal(model.params[f"{layer}.attn.wqkv"].grad, w_grad, strict=True)
+        np.testing.assert_array_equal(model.params[f"{layer}.attn.bqkv"].grad, b_grad, strict=True)
+
+
+def _interior_nodes(roots):
+    seen = {id(r): r for r in roots if r is not None}
+    stack = list(seen.values())
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return sum(1 for node in seen.values() if node._parents)
+
+
+@pytest.mark.parametrize("mode,nodes", [("mtl", 38), ("country", 30), ("province", 30)])
+def test_batch_one_request_graph_size(mode, nodes):
+    """A batch-1 request with the graph on, at a width below l_max: 22
+    encoder nodes (3 embedding, 8 per layer, 3 pooler) and 8 per head
+    (crop, task_scores, softmax_masked, weighted_sum, then concat_last,
+    linear, tanh, linear)."""
+    config = ModelConfig(encoder=EncoderConfig(l_max=16, vocab_size=12), mode=mode)
+    model = MtlModel(config, global_seed=0)
+    seq = [make_seq(np.random.default_rng(0), 16, true_length=5)]
+    assert _interior_nodes(model.forward(seq)) == nodes
+    with no_grad():
+        assert _interior_nodes(model.forward(seq)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +447,7 @@ def test_checkpoint_layout_is_header_document_data_trailer(saved):
     # A checkpoint stores no parameter name or shape: the config fixes both.
     path, model, labels_c, labels_p, vocab = saved
     blob = path.read_bytes()
-    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 4)
+    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 5)
     (doc_len,) = struct.unpack("<I", blob[6:10])
     assert blob[10 : 10 + doc_len] == _config_document(model.config, labels_c, labels_p, vocab)
     names = [name for name, _, _ in param_specs(model.config)]
@@ -402,10 +517,10 @@ def test_checkpoint_every_bit_flip_raises(saved):
 
 
 def test_checkpoint_version_1_is_unsupported(saved):
-    # Versions 1 to 3 fail alike: there is one read path, for version 4.
+    # Versions 1 to 4 fail alike: there is one read path, for version 5.
     path, *_ = saved
     blob = path.read_bytes()
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:-4])
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)

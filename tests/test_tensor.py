@@ -22,6 +22,7 @@ from mtlid.tensor import (
     dropout,
     embedding,
     gelu,
+    init_parameters,
     layer_norm,
     linear,
     matmul,
@@ -36,8 +37,10 @@ from mtlid.tensor import (
     softmax_masked,
     sum_all,
     tanh,
+    task_scores,
     transpose,
     trunc_normal,
+    weighted_sum,
 )
 
 
@@ -201,6 +204,17 @@ def test_masked_softmax_rows_matches_max_reference_on_non_finite_scores(dtype):
                 expected = _masked_softmax_rows_reference(scores, np.broadcast_to(mask, scores.shape))
                 assert out.dtype == dtype
                 np.testing.assert_array_equal(out, expected, strict=True)  # NaN equals NaN here
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0,), (3, 1, 0)])
+def test_masked_softmax_rows_reject_zero_width_rows(shape):
+    # an all-true mask of width 0 still keeps nothing in each row
+    with pytest.raises(DegenerateMaskError):
+        softmax_masked(Tensor(np.zeros(shape)), np.ones(shape, dtype=bool))
+    with pytest.raises(DegenerateMaskError):
+        _masked_softmax_rows(np.zeros(shape), np.ones(shape[-1:], dtype=bool), "test")
+    # with no row there is nothing to reject
+    assert softmax_masked(Tensor(np.zeros((0, 3))), np.ones(3, dtype=bool)).shape == (0, 3)
 
 
 def test_softmax_masked_rejects_mask_wider_than_scores():
@@ -812,6 +826,102 @@ def test_attention_rejects_degenerate_mask_and_bad_width():
         attention(qkv, np.ones((2, 4), dtype=bool), 2)
 
 
+# (batch, width, d, l_max, padded lengths): masked rows, batch 1, width 1
+# and widths below l_max, where w_alpha is cropped to the batch width
+_HEAD_CASES = [
+    (3, 5, 4, 7, (5, 3, 1)),
+    (1, 4, 3, 4, (4,)),
+    (1, 3, 2, 6, (3,)),
+    (2, 1, 3, 5, (1, 1)),
+    (2, 6, 5, 6, (6, 2)),
+]
+
+
+def _head_mask(b, l, lengths):
+    return np.arange(l)[None, :] < np.array(lengths)[:, None]
+
+
+def _task_scores_reference(h, mask, w_a, w_alpha):
+    """The composed graph task_scores replaces: tanh(h w_a), masked, mixed by w_alpha."""
+    b, l, _ = h.shape
+    keep = Tensor(mask.astype(h.dtype)[:, :, None])
+    return matmul(reshape(mul(tanh(matmul(h, w_a)), keep), (b, l)), w_alpha)
+
+
+def _weighted_sum_reference(alpha, h):
+    """The composed graph weighted_sum replaces: alpha [B, 1, L] @ h."""
+    b, l, d = h.shape
+    return reshape(matmul(reshape(alpha, (b, 1, l)), h), (b, d))
+
+
+@pytest.mark.parametrize("b,l,d,l_max,lengths", _HEAD_CASES)
+def test_grad_task_scores(b, l, d, l_max, lengths):
+    mask = _head_mask(b, l, lengths)
+    _check(
+        lambda ps: _weighted_sum(task_scores(ps[0], mask, ps[1], crop(ps[2], (l, l)))),
+        [(b, l, d), (d, 1), (l_max, l_max)],
+        50,
+    )
+
+
+@pytest.mark.parametrize("b,l,d,l_max,lengths", _HEAD_CASES)
+def test_grad_weighted_sum(b, l, d, l_max, lengths):
+    mask = _head_mask(b, l, lengths)
+    # weights as task_attention makes them: a softmax over the real positions
+    _check(
+        lambda ps: _weighted_sum(weighted_sum(softmax_masked(ps[0], mask), ps[1])),
+        [(b, l), (b, l, d)],
+        51,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b,l,d,l_max,lengths", _HEAD_CASES)
+def test_task_head_primitives_match_composed_reference(dtype, b, l, d, l_max, lengths):
+    # Forward values are bitwise equal: both make the same numpy calls.
+    # Gradients sum in another order (w_a's over all rows at once, alpha's
+    # as h @ g), so they agree to 1e-12 in float64 and within _F32_PARITY
+    # in float32. Inputs at scale 0.5 keep tanh off its saturated ends,
+    # where 1 - t^2 rounds to 0 and would hide the h and w_a gradients.
+    rng = np.random.default_rng(53)
+    mask = _head_mask(b, l, lengths)
+    arrays = [rng.normal(scale=0.5, size=s).astype(dtype) for s in ((b, l, d), (d, 1), (l_max, l_max))]
+    fused = [Tensor(a, requires_grad=True) for a in arrays]
+    ref = [Tensor(a, requires_grad=True) for a in arrays]
+    scores = task_scores(fused[0], mask, fused[1], crop(fused[2], (l, l)))
+    ref_scores = _task_scores_reference(ref[0], mask, ref[1], crop(ref[2], (l, l)))
+    np.testing.assert_array_equal(scores.data, ref_scores.data, strict=True)
+    alpha, ref_alpha = softmax_masked(scores, mask), softmax_masked(ref_scores, mask)
+    v, ref_v = weighted_sum(alpha, fused[0]), _weighted_sum_reference(ref_alpha, ref[0])
+    np.testing.assert_array_equal(v.data, ref_v.data, strict=True)
+    _weighted_sum(v).backward()
+    _weighted_sum(ref_v).backward()
+    _assert_parity([(f.grad, r.grad) for f, r in zip(fused, ref)], dtype)
+
+
+def test_task_head_primitives_reject_operands_that_do_not_fit():
+    h, w_a, w_alpha = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 1))), Tensor(np.zeros((3, 3)))
+    mask = np.ones((2, 3), dtype=bool)
+    for bad in (
+        (h, np.ones((2, 4), dtype=bool), w_a, w_alpha),  # mask wider than h
+        (h, np.ones(3, dtype=bool), w_a, w_alpha),  # mask without the batch axis
+        (h, mask, Tensor(np.zeros((5, 1))), w_alpha),
+        (h, mask, Tensor(np.zeros((4, 2))), w_alpha),
+        (h, mask, Tensor(np.zeros(4)), w_alpha),
+        (h, mask, w_a, Tensor(np.zeros((4, 4)))),  # w_alpha not cropped to the width
+        (Tensor(np.zeros((3, 4))), mask, w_a, w_alpha),
+    ):
+        with pytest.raises(ShapeError):
+            task_scores(*bad)
+    for alpha, rows in (
+        (Tensor(np.zeros((2, 4))), h),
+        (Tensor(np.zeros((3, 3))), h),
+        (Tensor(np.zeros(3)), Tensor(np.zeros((3, 4)))),
+    ):
+        with pytest.raises(ShapeError):
+            weighted_sum(alpha, rows)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
     rng = np.random.default_rng(41)
@@ -834,6 +944,8 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
         "softmax": softmax(t(2, 3)),
         "softmax_masked": softmax_masked(t(2, 3), mask),
         "attention": attention(t(2, 3, 6), mask, 1),
+        "task_scores": task_scores(t(2, 3, 4), mask, t(4, 1), t(3, 3)),
+        "weighted_sum": weighted_sum(t(2, 3), t(2, 3, 4)),
         "concat_last": concat_last(t(2, 3), t(2, 1)),
         "crop": crop(t(4, 3), (2, 3)),
         "select": select(t(2, 3), 1, axis=0),
@@ -858,6 +970,41 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
 # ---------------------------------------------------------------------------
 # init helpers
 # ---------------------------------------------------------------------------
+
+
+def _trunc_normal_reference(shape, rng, dtype):
+    """The redraw loop that re-tests every entry after each round."""
+    out = rng.normal(0.0, 0.02, size=tuple(shape))
+    bad = np.abs(out) > 0.04
+    while bad.any():
+        out[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+        bad = np.abs(out) > 0.04
+    return out.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1,), (7,), (64, 3), (4096, 64), (3, 5, 2)])
+def test_trunc_normal_matches_redraw_everything_reference(dtype, shape):
+    for seed in (0, 1, 17):
+        got_rng, want_rng = name_seeded_rng(seed, "w"), name_seeded_rng(seed, "w")
+        got = trunc_normal(shape, got_rng, dtype)
+        want = _trunc_normal_reference(shape, want_rng, dtype)
+        np.testing.assert_array_equal(got, want, strict=True)
+        # the generators stand at the same state afterwards
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_parameters_matches_concatenated_parts(dtype):
+    specs = [("a", (3, 4), "normal"), ("b", (4,), "zeros"), ("c", (2,), "ones"), ("d", (1,), "normal")]
+    for seed in (0, 5):
+        parts = [
+            trunc_normal(shape, name_seeded_rng(seed, name), dtype) if kind == "normal"
+            else np.full(shape, 1.0 if kind == "ones" else 0.0, dtype=dtype)
+            for name, shape, kind in specs
+        ]
+        want = np.concatenate([part.ravel() for part in parts])
+        np.testing.assert_array_equal(init_parameters(specs, seed, dtype), want, strict=True)
 
 
 def test_trunc_normal_respects_bounds():
