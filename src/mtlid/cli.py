@@ -16,13 +16,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, data as data_mod, train as train_mod
-from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate
+from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate, write_file
 from .encoder import EncoderConfig
 from .model import MODE_TASKS, MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import build_vocab, clean_text
@@ -63,19 +63,8 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Replace path only once the whole text is written; a failure leaves no temporary file."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_manifest(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_file(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _runtime() -> dict:
@@ -88,9 +77,21 @@ def _runtime() -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's members; a key given twice is an error, not a silent override."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise UsageError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config_file(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except UsageError as exc:
+        raise UsageError(f"config {path}: {exc}") from exc
     except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
         raise UsageError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -163,10 +164,9 @@ def cmd_train(args) -> int:
             **file_cfg.get("model", {}),
         )
         train_cfg = TrainConfig(**file_cfg.get("train", {}), seed=args.seed)
+        model = MtlModel(model_cfg, global_seed=args.seed)  # sizes too large to allocate are config errors
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
-
-    model = MtlModel(model_cfg, global_seed=args.seed)
     result = train_mod.train(model, train_ds, dev_ds, vocab, train_cfg)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -174,16 +174,16 @@ def cmd_train(args) -> int:
     hist_path = out / "history.tsv"
     save_checkpoint(ckpt_path, model, train_ds.country_labels, train_ds.province_labels, vocab)
     write_history(hist_path, result.history)
-    model_doc = asdict(model_cfg)
+    resolved = {"encoder": enc, "model": model_cfg, "train": train_cfg}
     manifest = {
         "command": "train",
         "version": __version__,
+        "mode": args.mode,
         "seed": args.seed,
+        # a config file that replays the run, given this mode and seed
         "resolved_config": {
-            "encoder": model_doc.pop("encoder"),
-            "model": model_doc,
-            "train": asdict(train_cfg),
-            "vocab": {"max_size": enc.vocab_size},
+            section: {key: getattr(cfg, key) for key in _CONFIG_SECTIONS[section]}
+            for section, cfg in resolved.items()
         },
         "inputs": inputs,
         "artifacts": {"checkpoint": str(ckpt_path), "history": str(hist_path)},
@@ -227,7 +227,7 @@ def cmd_predict(args) -> int:
         names = [labels[task][preds[task][i]] if task in preds else "NA" for task in labels]
         lines.append("\t".join([ex_id, *names]) + "\n")
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(out, "".join(lines))
+    write_file(out, "".join(lines).encode("utf-8"))
     return 0
 
 

@@ -7,11 +7,13 @@ lexicographic order of the label strings, so ids are stable across
 shuffled files. The synthetic generator plants country-level signal
 tokens shared by all of a country's provinces, plus rarer
 province-specific tokens, which is what lets province classification
-benefit from country supervision.
+benefit from country supervision. Every file a command writes goes
+through write_file.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -94,13 +96,31 @@ def load_tsv(path: str | Path) -> Dataset:
     return Dataset(examples, country_labels, province_labels, flagged)
 
 
+def write_file(path: str | Path, *chunks) -> None:
+    """Write bytes-like chunks to path.tmp, which replaces path only once complete.
+
+    On any failure the temporary file is removed and an earlier file at
+    path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tsv(dataset: Dataset, path: str | Path) -> None:
     lines = ["id\ttext\tcountry\tprovince"]
     for ex in dataset.examples:
         lines.append(
             f"{ex.id}\t{ex.text}\t{dataset.country_labels[ex.country]}\t{dataset.province_labels[ex.province]}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_texts(path: str | Path) -> list[tuple[str, str]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import attnpool, encoder
 from .attnpool import task_attention
+from .data import write_file
 from .encoder import EncoderConfig, encode_batch
 from .preprocess import RESERVED_TOKENS, TokenSequence, Vocabulary
 from .tensor import (
@@ -228,24 +228,12 @@ def save_checkpoint(
 
     The parameter data is model.values as raw float32 LE: the config in
     the document fixes every name and shape, so none is written. The
-    trailer is the zlib CRC32 of every preceding byte, as u32 LE. The
-    bytes go to a temporary file that replaces path only once complete,
-    so a failed write leaves any previous checkpoint untouched.
+    trailer is the zlib CRC32 of every preceding byte, as u32 LE.
     """
     doc = _config_document(model.config, country_labels, province_labels, vocab)
     head = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(doc)) + doc
     data = np.asarray(model.values, "<f4")  # no copy when already float32
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(head)
-            f.write(data)
-            f.write(struct.pack("<I", zlib.crc32(data, zlib.crc32(head))))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, head, data, struct.pack("<I", zlib.crc32(data, zlib.crc32(head))))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import hashlib
+import itertools
 import math
 import numbers
 from typing import Callable, Iterator, Sequence
@@ -732,8 +733,8 @@ def trunc_normal(shape: Sequence[int], rng: np.random.Generator, dtype=DEFAULT_D
 
 
 def _bounds(specs: Sequence[ParamSpec]) -> list[int]:
-    """Where each parameter starts in the flat array, then its total size."""
-    return np.cumsum([0] + [math.prod(shape) for _, shape, _ in specs]).tolist()
+    """Where each parameter starts in the flat array, then its total size, as exact ints."""
+    return list(itertools.accumulate((math.prod(shape) for _, shape, _ in specs), initial=0))
 
 
 def init_parameters(specs: Sequence[ParamSpec], global_seed: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -741,9 +742,17 @@ def init_parameters(specs: Sequence[ParamSpec], global_seed: int, dtype=DEFAULT_
 
     kind is one of: "normal" (one name-seeded truncated-normal draw of
     the full shape), "zeros" or "ones". parameter_views names the parts.
+    A total numpy cannot allocate raises ValueError naming it and the
+    largest parameter: the sizes are settings, and nothing was drawn yet.
     """
     bounds = _bounds(specs)
-    values = np.empty(bounds[-1], dtype=dtype)
+    try:
+        values = np.empty(bounds[-1], dtype=dtype)
+    except (ValueError, MemoryError) as exc:
+        name, shape, _ = max(specs, key=lambda spec: math.prod(spec[1]))
+        raise ValueError(
+            f"cannot allocate {bounds[-1]:,} parameters, the largest {name!r} of shape {shape}: {exc}"
+        ) from exc
     for (name, shape, kind), lo, hi in zip(specs, bounds, bounds[1:]):
         if kind == "normal":
             values[lo:hi] = trunc_normal(shape, name_seeded_rng(global_seed, name), dtype=dtype).ravel()

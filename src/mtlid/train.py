@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, write_file
 from .model import TASKS, MtlModel, compute_loss, param_specs, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import (
@@ -279,11 +279,11 @@ def format_history_line(record: EpochRecord) -> str:
 def write_history(path: str | Path, history: Sequence[EpochRecord]) -> None:
     """One tab-separated line per epoch: epoch, train loss, dev acc/F1 per task."""
     text = "\n".join(format_history_line(rec) for rec in history) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_file(path, text.encode("utf-8"))
 
 
 def write_confusion(path: str | Path, labels: Sequence[str], confusion: np.ndarray) -> None:
     """Header of class labels, then one tab-separated integer row per gold class."""
     lines = ["\t".join(labels)]
     lines.extend("\t".join(str(int(x)) for x in row) for row in confusion)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))

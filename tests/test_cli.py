@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtlid import cli, train as train_mod
+from mtlid import cli, data as data_mod, train as train_mod
 from mtlid.cli import build_parser, main
 from mtlid.data import SynthConfig, save_tsv, synth_generate
 from mtlid.model import load_checkpoint
@@ -82,7 +82,7 @@ def test_train_writes_artifacts(trained):
     assert manifest["command"] == "train"
     assert manifest["seed"] == 3
     assert manifest["resolved_config"]["train"]["epochs"] == 2
-    assert manifest["resolved_config"]["vocab"] == {"max_size": 512}  # the cap, CONFIG's encoder.vocab_size
+    assert manifest["resolved_config"]["encoder"]["vocab_size"] == 512  # the cap, CONFIG's encoder.vocab_size
     assert set(manifest["inputs"]) == {"train", "dev", "config"}
     assert manifest["flagged_ids"] == {"train": [], "dev": []}
     for entry in manifest["inputs"].values():
@@ -202,6 +202,14 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
         ('{"model": {"loss_weights": 5}}', "loss_weights must be a [country, province] pair"),
         ('{"model": {"loss_weights": [1]}}', "loss_weights must be a [country, province] pair"),
         ('{"model": {"loss_weights": [1, 1, 1]}}', "loss_weights must be a [country, province] pair"),
+        # the last value of a repeated key would win silently
+        ('{"train": {"epochs": 1}, "train": {"epochs": 2}}', "duplicate key 'train'"),
+        ('{"train": {"epochs": 1, "epochs": 2}}', "duplicate key 'epochs'"),
+        # sizes numpy refuses before allocating anything name the largest
+        # parameter; the last total is past int64
+        ('{"encoder": {"l_max": 1000000000000}}', "parameters, the largest 'country_attn.w_alpha' of shape (1000000000000, 1000000000000)"),
+        ('{"encoder": {"l_max": 3000000000}}', "parameters, the largest 'country_attn.w_alpha' of shape (3000000000, 3000000000)"),
+        ('{"encoder": {"d_model": 10000000000}}', "parameters, the largest 'encoder.layer0.attn.wqkv' of shape (10000000000, 30000000000)"),
         # numpy's generators take no negative seed
         ("{}", "seed must be a nonnegative integer", "--seed", "-1"),
         # the output directory is checked before any work: an existing file
@@ -261,6 +269,97 @@ def test_failed_manifest_write_leaves_no_temporary_file(corpus, tmp_path, capsys
     assert main([command, *flags, "--out", str(out)]) == 1
     assert "manifest.json" in capsys.readouterr().err
     assert not (out / "manifest.json.tmp").exists()
+
+
+class _DiskFull:
+    """A file that takes half of the first chunk written to it, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, chunk):
+        view = memoryview(chunk).cast("B")
+        self.f.write(view[: len(view) // 2])
+        raise OSError("No space left on device")
+
+
+# every kind of file a command writes: (the command, the file it writes)
+OUTPUTS = {
+    "checkpoint": ("train", "model.ckpt"),
+    "history": ("train", "history.tsv"),
+    "manifest": ("train", "manifest.json"),
+    "confusion": ("eval", "confusion_country.tsv"),
+    "synth": ("synth", "train.tsv"),
+    "predictions": ("predict", "preds.tsv"),
+}
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_write_keeps_the_earlier_output(corpus, trained, tmp_path, capsys, monkeypatch, fail_at, output):
+    command, name = OUTPUTS[output]
+    flags = {
+        "train": ["--train", str(corpus["train"]), "--dev", str(corpus["dev"]), "--config", str(corpus["config"]),
+                  "--out", str(tmp_path)],
+        "eval": ["--model", str(trained / "model.ckpt"), "--data", str(corpus["test"]), "--confusion", str(tmp_path)],
+        "synth": ["--n-countries", "2", "--provinces-per-country", "2", "--examples-per-province", "4",
+                  "--out", str(tmp_path)],
+        "predict": ["--model", str(trained / "model.ckpt"), "--in", str(corpus["test"]), "--out", str(tmp_path / name)],
+    }[command]
+    target, tmp = tmp_path / name, tmp_path / f"{name}.tmp"
+    target.write_bytes(b"earlier output\n")
+    failed = []
+    if fail_at == "write":  # partway through the bytes
+        def failing_open(file, *args, **kwargs):
+            f = open(file, *args, **kwargs)
+            if Path(file) != tmp:
+                return f
+            failed.append(Path(file))
+            return _DiskFull(f)
+
+        monkeypatch.setattr(data_mod, "open", failing_open, raising=False)
+    else:  # once the bytes are complete, at the rename onto the target
+        replace = data_mod.os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) != target:
+                return replace(src, dst)
+            failed.append(Path(src))
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(data_mod.os, "replace", failing_replace)
+    assert main([command, *flags]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert failed == [tmp]  # the bytes went to the temporary file, never to the target
+    assert target.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    monkeypatch.undo()
+    assert main([command, *flags]) == 0  # the same run, with room to write, replaces the file
+    assert target.read_bytes() != b"earlier output\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_manifest_resolved_config_replays_the_run(corpus, tmp_path):
+    args = ["--train", str(corpus["train"]), "--dev", str(corpus["dev"])]
+    first = tmp_path / "first"
+    assert main(["train", *args, "--config", str(corpus["config"]), "--out", str(first), "--mode", "country",
+                 "--seed", "5"]) == 0
+    manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["mode"], manifest["seed"]) == ("country", 5)
+    replay_cfg = tmp_path / "replay.json"
+    replay_cfg.write_text(json.dumps(manifest["resolved_config"]), encoding="utf-8")
+    replay = tmp_path / "replay"
+    assert main(["train", *args, "--config", str(replay_cfg), "--out", str(replay), "--mode", manifest["mode"],
+                 "--seed", str(manifest["seed"])]) == 0
+    assert (replay / "model.ckpt").read_bytes() == (first / "model.ckpt").read_bytes()
+    # the replay's manifest resolves to the same config
+    assert json.loads((replay / "manifest.json").read_text(encoding="utf-8"))["resolved_config"] == manifest["resolved_config"]
 
 
 def test_non_utf8_training_data_is_exit_2(corpus, tmp_path, capsys):
@@ -476,24 +575,6 @@ def test_predict_handles_unknown_tokens(trained, tmp_path):
     out = tmp_path / "preds.tsv"
     assert main(["predict", "--model", str(trained / "model.ckpt"), "--in", str(src), "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
-
-
-def test_failed_predict_write_keeps_the_earlier_file(corpus, trained, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "preds.tsv"
-    argv = ["predict", "--model", str(trained / "model.ckpt"), "--in", str(corpus["test"]), "--out", str(out)]
-    assert main(argv) == 0
-    before = out.read_bytes()
-    write_text = Path.write_text
-
-    def partial_write(self, text, *args, **kwargs):
-        write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise OSError("No space left on device")
-
-    monkeypatch.setattr(Path, "write_text", partial_write)
-    assert main(argv) == 1
-    assert "No space left on device" in capsys.readouterr().err
-    assert out.read_bytes() == before
-    assert not (tmp_path / "preds.tsv.tmp").exists()
 
 
 def test_predict_bad_out_is_usage_error(corpus, trained, tmp_path, capsys, monkeypatch):

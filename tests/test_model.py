@@ -606,29 +606,6 @@ def test_config_document_bytes_pinned():
     )
 
 
-def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch):
-    path, model, labels_c, labels_p, vocab = saved
-    before = path.read_bytes()
-    tmp = path.with_name(path.name + ".tmp")
-    calls = []
-
-    def failing_pack(*args):
-        # The trailer is packed once the body is written to the temporary file.
-        calls.append(tmp.exists())
-        raise OSError("disk full")
-
-    monkeypatch.setattr(model_mod.struct, "pack", failing_pack)
-    model.values += 1.0
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, model, labels_c, labels_p, vocab)
-    assert calls == [True]
-    assert path.read_bytes() == before
-    assert list(path.parent.iterdir()) == [path]
-    monkeypatch.undo()
-    save_checkpoint(path, model, labels_c, labels_p, vocab)
-    assert path.read_bytes() != before
-
-
 def test_model_values_must_hold_every_parameter_as_floats():
     config = ModelConfig(encoder=TOY_ENC, n_countries=3, n_provinces=4)
     count = MtlModel(config).values.size
