@@ -5,7 +5,9 @@ Every run that produces artifacts also writes a manifest recording the
 fully resolved configuration, input digests, seed, artifact paths, and
 wall-clock duration, so a run can be replayed. A training manifest also
 records numpy, its BLAS build and the BLAS thread settings: seeded bytes
-repeat only for one such build and thread count.
+repeat only for one such build and thread count. The manifest is written
+last, and an earlier one is removed before the first artifact is
+replaced, so a manifest never describes another run's files.
 """
 
 from __future__ import annotations
@@ -170,6 +172,7 @@ def cmd_train(args) -> int:
     result = train_mod.train(model, train_ds, dev_ds, vocab, train_cfg)
 
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     ckpt_path = out / "model.ckpt"
     hist_path = out / "history.tsv"
     save_checkpoint(ckpt_path, model, train_ds.country_labels, train_ds.province_labels, vocab)
@@ -187,7 +190,10 @@ def cmd_train(args) -> int:
         },
         "inputs": inputs,
         "artifacts": {"checkpoint": str(ckpt_path), "history": str(hist_path)},
-        "flagged_ids": {"train": train_ds.flagged_ids, "dev": dev_ds.flagged_ids},
+        "flagged_ids": {  # rows empty after cleaning, kept: they train and score as [CLS] alone
+            "train": [ex.id for ex, text in zip(train_ds.examples, texts) if not text.strip()],
+            "dev": [ex.id for ex in dev_ds.examples if not clean_text(ex.text).strip()],
+        },
         "runtime": _runtime(),
         "best_epoch": result.best_epoch,
         "duration_seconds": time.monotonic() - started,
@@ -248,6 +254,7 @@ def cmd_synth(args) -> int:
         raise UsageError(f"invalid synthesis settings: {exc}") from exc
     splits = synth_generate(config)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     paths = {}
     for name, ds in zip(("train", "dev", "test"), splits):
         path = out / f"{name}.tsv"

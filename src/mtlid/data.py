@@ -14,14 +14,13 @@ through write_file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .tensor import require_count, require_real, require_seed
-from .preprocess import clean_text
 
 
 class DataError(ValueError):
@@ -41,8 +40,6 @@ class Dataset:
     examples: list[Example]
     country_labels: list[str]
     province_labels: list[str]
-    # ids of examples whose text is empty after cleaning; kept, not dropped
-    flagged_ids: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -92,8 +89,7 @@ def load_tsv(path: str | Path) -> Dataset:
         Example(id=ex_id, text=text, country=c_ids[c], province=p_ids[p])
         for ex_id, text, c, p in parsed
     ]
-    flagged = [ex.id for ex in examples if not clean_text(ex.text).strip()]
-    return Dataset(examples, country_labels, province_labels, flagged)
+    return Dataset(examples, country_labels, province_labels)
 
 
 def write_file(path: str | Path, *chunks) -> None:
@@ -265,4 +261,4 @@ def relabel(dataset: Dataset, country_labels: Sequence[str], province_labels: Se
         if p not in p_ids:
             raise DataError(f"label-space mismatch: unknown province label {p!r}")
         examples.append(Example(id=ex.id, text=ex.text, country=c_ids[c], province=p_ids[p]))
-    return Dataset(examples, list(country_labels), list(province_labels), list(dataset.flagged_ids))
+    return Dataset(examples, list(country_labels), list(province_labels))

@@ -51,7 +51,7 @@ MODES = tuple(MODE_TASKS)
 _CLASS_COUNT = {"country": "n_countries", "province": "n_provinces"}  # ModelConfig field per head
 
 CHECKPOINT_MAGIC = b"MTLD"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 _HEADER = struct.Struct("<4sHI")  # magic, version, config document length
 
 
@@ -208,13 +208,24 @@ def _config_document(
     province_labels: Sequence[str],
     vocab: Vocabulary,
 ) -> bytes:
+    model = asdict(config)  # less what the lists fix: the class counts and the vocabulary size
+    del model["n_countries"], model["n_provinces"], model["encoder"]["vocab_size"]
     doc = {
-        "model": asdict(config),
+        "model": model,
         "country_labels": list(country_labels),
         "province_labels": list(province_labels),
         "vocab": list(vocab.id_to_token),
     }
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _distinct_strings(doc: dict, key: str) -> list[str]:
+    """A label list or the token list, whose length is a class count or the vocabulary size."""
+    entries = doc[key]
+    strings = isinstance(entries, list) and all(isinstance(e, str) for e in entries)
+    if not (strings and len(set(entries)) == len(entries)):
+        raise ValueError(f"{key} must be an array of distinct strings")
+    return entries
 
 
 def save_checkpoint(
@@ -242,7 +253,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     After magic and version, the CRC32 trailer is checked against the rest
     of the file. The parameter data must hold exactly the values the
     config's param_specs expect, checked before any array is built, and a
-    parameter holding inf or nan is rejected.
+    parameter holding inf or nan is rejected. The label lists and the token
+    list, arrays of distinct strings, fix the class counts and vocabulary size.
     """
     blob = Path(path).read_bytes()
     size = len(blob) - 4  # the CRC32 trailer follows the body
@@ -263,26 +275,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
         raise CheckpointError("corrupt config document") from exc
     try:
+        country_labels, province_labels, tokens = (
+            _distinct_strings(doc, key) for key in ("country_labels", "province_labels", "vocab")
+        )
         m = doc["model"]
-        config = ModelConfig(**{**m, "encoder": EncoderConfig(**m["encoder"])})
-        country_labels = list(doc["country_labels"])
-        province_labels = list(doc["province_labels"])
-        tokens = list(doc["vocab"])
+        # a document that also stores a count passes that keyword twice: TypeError
+        enc = EncoderConfig(**m["encoder"], vocab_size=len(tokens))
+        config = ModelConfig(**{**m, "encoder": enc}, n_countries=len(country_labels), n_provinces=len(province_labels))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid config document: {exc}") from exc
-    if not all(isinstance(entry, str) for entry in country_labels + province_labels + tokens):
-        raise CheckpointError("labels and vocabulary entries must be strings")
-    if (len(country_labels), len(province_labels)) != (config.n_countries, config.n_provinces):
-        raise CheckpointError(
-            f"{len(country_labels)} country and {len(province_labels)} province labels do not match "
-            f"config's {config.n_countries} and {config.n_provinces} classes"
-        )
     if tuple(tokens[:3]) != RESERVED_TOKENS:
         raise CheckpointError("vocabulary must start with the reserved tokens")
-    if len(tokens) != config.encoder.vocab_size:
-        raise CheckpointError(
-            f"vocabulary size {len(tokens)} does not match config {config.encoder.vocab_size}"
-        )
     specs = param_specs(config)
     count = sum(math.prod(shape) for _, shape, _ in specs)
     if size - data_start != 4 * count:

@@ -57,7 +57,8 @@ class Vocabulary:
 def build_vocab(corpus: Sequence[str], max_size: int = VOCAB_SIZE) -> Vocabulary:
     """Rank whitespace tokens by (count desc, token asc) and assign ids 3...
 
-    At most max_size - 3 tokens are kept.
+    At most max_size - 3 tokens are kept. A literal reserved token in the
+    text is not kept: it looks up as UNK, and no token appears twice.
     """
     if len(corpus) == 0:
         raise ValueError("build_vocab: empty corpus")
@@ -67,6 +68,8 @@ def build_vocab(corpus: Sequence[str], max_size: int = VOCAB_SIZE) -> Vocabulary
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(text.split())
+    for tok in RESERVED_TOKENS:
+        del counts[tok]
     # sorted is stable under reverse=True, so equal counts keep the token order
     kept = sorted(sorted(counts), key=counts.__getitem__, reverse=True)[: max_size - len(RESERVED_TOKENS)]
     return Vocabulary(list(RESERVED_TOKENS) + kept)

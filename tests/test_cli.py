@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -238,24 +239,29 @@ def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
-def test_diverging_run_fails_without_artifacts(corpus, tmp_path, capsys):
+def test_diverging_run_fails_without_artifacts(corpus, trained, tmp_path, capsys):
     config = dict(CONFIG, train={"epochs": 3, "batch_size": 8, "learning_rate": 1e9})
     cfg_path = tmp_path / "diverge.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "o"
-    code = main(
-        [
-            "train",
-            "--train", str(corpus["train"]),
-            "--dev", str(corpus["dev"]),
-            "--config", str(cfg_path),
-            "--out", str(out),
-        ]
-    )
+    argv = [
+        "train",
+        "--train", str(corpus["train"]),
+        "--dev", str(corpus["dev"]),
+        "--config", str(cfg_path),
+        "--out", str(out),
+    ]
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert re.match(r"error: training diverged: loss \S+ at epoch \d+, step \d+", err), err
     assert not out.exists()
+    # into an earlier run's directory, it leaves that run whole, its manifest included
+    shutil.copytree(trained, out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: training diverged")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["train", "synth"])
@@ -337,12 +343,44 @@ def test_failed_write_keeps_the_earlier_output(corpus, trained, tmp_path, capsys
     assert main([command, *flags]) == 1
     assert capsys.readouterr().err == "error: No space left on device\n"
     assert failed == [tmp]  # the bytes went to the temporary file, never to the target
-    assert target.read_bytes() == b"earlier output\n"
+    if output == "manifest":  # removed before the run's first write: it described other files
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == b"earlier output\n"
     assert list(tmp_path.glob("*.tmp")) == []
     monkeypatch.undo()
     assert main([command, *flags]) == 0  # the same run, with room to write, replaces the file
     assert target.read_bytes() != b"earlier output\n"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("command, name", [("train", "history.tsv"), ("synth", "dev.tsv")])
+def test_failed_run_leaves_no_manifest_of_an_earlier_run(corpus, trained, tmp_path, capsys, monkeypatch, command,
+                                                         name):
+    # A second run into a run directory replaces its files one at a time; once
+    # one fails, the files before it hold the second run, so no manifest may
+    # still describe the first.
+    out = tmp_path / "o"
+    synth = ["synth", "--n-countries", "2", "--provinces-per-country", "2", "--examples-per-province", "4"]
+    if command == "train":
+        shutil.copytree(trained, out)  # seed 3
+        argv = ["train", "--train", str(corpus["train"]), "--dev", str(corpus["dev"]),
+                "--config", str(corpus["config"]), "--out", str(out)]
+    else:
+        assert main([*synth, "--seed", "1", "--out", str(out)]) == 0
+        argv = [*synth, "--seed", "2", "--out", str(out)]
+    assert (out / "manifest.json").exists()
+    replace = data_mod.os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == out / name:
+            raise OSError("No space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(data_mod.os, "replace", failing_replace)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_manifest_resolved_config_replays_the_run(corpus, tmp_path):
@@ -575,6 +613,20 @@ def test_predict_handles_unknown_tokens(trained, tmp_path):
     out = tmp_path / "preds.tsv"
     assert main(["predict", "--model", str(trained / "model.ckpt"), "--in", str(src), "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_reserved_tokens_in_the_text_train_a_loadable_model(corpus, tmp_path):
+    # a literal [UNK], [PAD] or [CLS], however frequent, is not a second vocabulary entry
+    rows = "".join(f"r{i}\t[UNK] [PAD] [CLS] [UNK]\tc00\tc00p00\n" for i in range(6))
+    train = tmp_path / "train.tsv"
+    train.write_text(corpus["train"].read_text(encoding="utf-8") + rows, encoding="utf-8")
+    out = tmp_path / "o"
+    args = ["--train", str(train), "--dev", str(corpus["dev"]), "--config", str(corpus["config"])]
+    assert main(["train", *args, "--out", str(out)]) == 0
+    assert load_checkpoint(out / "model.ckpt").vocab.id_to_token.count("[UNK]") == 1
+    preds = tmp_path / "preds.tsv"
+    assert main(["predict", "--model", str(out / "model.ckpt"), "--in", str(train), "--out", str(preds)]) == 0
+    assert main(["eval", "--model", str(out / "model.ckpt"), "--data", str(corpus["dev"])]) == 0
 
 
 def test_predict_bad_out_is_usage_error(corpus, trained, tmp_path, capsys, monkeypatch):

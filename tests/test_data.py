@@ -103,14 +103,6 @@ def test_non_utf8_file_is_a_data_error_naming_the_file(tmp_path):
             load(path)
 
 
-def test_load_tsv_flags_empty_after_cleaning(tmp_path):
-    path = tmp_path / "d.tsv"
-    path.write_text("x1\tًٌ\tEgypt\tCairo\nx2\tok\tEgypt\tCairo\n", encoding="utf-8")
-    ds = load_tsv(path)
-    assert ds.flagged_ids == ["x1"]
-    assert len(ds) == 2  # flagged, not dropped
-
-
 def test_tsv_round_trip(tmp_path):
     train_ds, _, _ = synth_generate(SynthConfig(n_countries=2, provinces_per_country=2, examples_per_province=10, seed=1))
     path = tmp_path / "rt.tsv"

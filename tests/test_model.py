@@ -1,6 +1,7 @@
 """Model assembly: forward wiring, losses, argmax, checkpoints, head isolation."""
 
 import dataclasses
+import json
 import math
 import os
 import re
@@ -447,7 +448,7 @@ def test_checkpoint_layout_is_header_document_data_trailer(saved):
     # A checkpoint stores no parameter name or shape: the config fixes both.
     path, model, labels_c, labels_p, vocab = saved
     blob = path.read_bytes()
-    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 5)
+    assert struct.unpack("<4sH", blob[:6]) == (b"MTLD", 6)
     (doc_len,) = struct.unpack("<I", blob[6:10])
     assert blob[10 : 10 + doc_len] == _config_document(model.config, labels_c, labels_p, vocab)
     names = [name for name, _, _ in param_specs(model.config)]
@@ -517,10 +518,10 @@ def test_checkpoint_every_bit_flip_raises(saved):
 
 
 def test_checkpoint_version_1_is_unsupported(saved):
-    # Versions 1 to 4 fail alike: there is one read path, for version 5.
+    # Versions 1 to 5 fail alike: there is one read path, for version 6.
     path, *_ = saved
     blob = path.read_bytes()
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:-4])
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
@@ -573,13 +574,58 @@ def test_checkpoint_oversized_shape_rejected_before_reading_payload(saved, monke
     ids=["extra-label", "class-without-label"],
 )
 def test_checkpoint_label_lists_must_match_class_counts(saved, country_labels):
-    # Each class is a label: predict and eval name every class id they emit.
+    # Each class is a label: the list fixes the head's class count, so a
+    # label added or dropped changes the shapes the parameter data must fill.
     path, model, _, labels_p, vocab = saved
     blob = path.read_bytes()
     (doc_len,) = struct.unpack("<I", blob[6:10])
     doc = _config_document(model.config, country_labels, labels_p, vocab)
     path.write_bytes(_reseal(blob[:6] + struct.pack("<I", len(doc)) + doc + blob[10 + doc_len :]))
-    with pytest.raises(CheckpointError, match="labels do not match"):
+    with pytest.raises(CheckpointError, match="parameter data holds"):
+        load_checkpoint(path)
+
+
+def _edited_document(blob: bytes, edit) -> bytes:
+    """The checkpoint with edit applied to its parsed config document, resealed."""
+    (doc_len,) = struct.unpack("<I", blob[6:10])
+    doc = json.loads(blob[10 : 10 + doc_len])
+    edit(doc)
+    text = json.dumps(doc).encode("utf-8")
+    return _reseal(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + doc_len :])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("country_labels", "xyz"),  # a string of three characters, not three labels
+        ("country_labels", ["egypt", "iraq", "egypt"]),
+        ("province_labels", ["p0", "p1", 2, "p3"]),
+        ("vocab", ["[PAD]", "[UNK]", "[CLS]", "a", "b", "c", "d", "e", "f", "g", "h", "a"]),
+        ("vocab", {"[PAD]": 0}),
+    ],
+    ids=["string", "duplicate-label", "non-string-label", "duplicate-token", "object"],
+)
+def test_checkpoint_lists_must_be_arrays_of_distinct_strings(saved, key, value):
+    # The lists fix the class counts and the vocabulary size; this is their one check.
+    path, *_ = saved
+    path.write_bytes(_edited_document(path.read_bytes(), lambda doc: doc.__setitem__(key, value)))
+    with pytest.raises(CheckpointError, match=f"{key} must be an array of distinct strings"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["n_countries", "n_provinces", "vocab_size"])
+def test_checkpoint_document_storing_a_count_is_rejected(saved, key):
+    # A count the lists fix is not stored beside them; a document that
+    # carries one, even an agreeing one, is refused rather than overridden.
+    path, model, labels_c, labels_p, vocab = saved
+    counts = {"n_countries": len(labels_c), "n_provinces": len(labels_p), "vocab_size": len(vocab)}
+
+    def add_count(doc):
+        section = doc["model"]["encoder"] if key == "vocab_size" else doc["model"]
+        section[key] = counts[key]
+
+    path.write_bytes(_edited_document(path.read_bytes(), add_count))
+    with pytest.raises(CheckpointError, match=f"invalid config document: .*'{key}'"):
         load_checkpoint(path)
 
 
@@ -600,8 +646,8 @@ def test_config_document_bytes_pinned():
     doc = _config_document(config, ["egypt", "iraq", "jordan"], ["p0", "p1", "p2", "p3"], build_vocab(["a b"]))
     assert doc == (
         b'{"country_labels":["egypt","iraq","jordan"],"model":{"encoder":{"d_ff":8,"d_model":4,'
-        b'"dropout_rate":0.0,"l_max":4,"n_heads":1,"n_layers":1,"vocab_size":5},'
-        b'"loss_weights":[1.0,0.5],"mode":"country","n_countries":3,"n_provinces":4},'
+        b'"dropout_rate":0.0,"l_max":4,"n_heads":1,"n_layers":1},'
+        b'"loss_weights":[1.0,0.5],"mode":"country"},'
         b'"province_labels":["p0","p1","p2","p3"],"vocab":["[PAD]","[UNK]","[CLS]","a","b"]}'
     )
 

@@ -109,6 +109,13 @@ def test_build_vocab_max_size_truncates():
             build_vocab(["a b c"], max_size=cap)
 
 
+def test_build_vocab_keeps_no_reserved_token_from_the_text():
+    # a literal [UNK] in the text is UNK, not a second vocabulary entry
+    vocab = build_vocab(["[UNK] [UNK] [PAD] [CLS] a"], max_size=100)
+    assert vocab.id_to_token == ["[PAD]", "[UNK]", "[CLS]", "a"]
+    assert encode("[UNK] [CLS] a", vocab, l_max=8).ids.tolist() == [CLS_ID, UNK_ID, UNK_ID, 3]
+
+
 def test_build_vocab_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty corpus"):
         build_vocab([], max_size=10)
