@@ -154,10 +154,14 @@ def encode_batch(
     x = dropout(embed(ids, params), rate, rng)
     for i in range(cfg.n_layers):
         layer = f"encoder.layer{i}"
+        # each sublayer's output is a temporary: under no_grad it is freed
+        # once its layer norm returns, before the next sublayer allocates
         attn_out = multi_head_attention(x, mask, params, layer, cfg.n_heads, rate, rng)
         x = layer_norm(attn_out, x, params[f"{layer}.ln1.gain"], params[f"{layer}.ln1.bias"])
+        del attn_out
         ff_out = _feed_forward(x, params, layer, rate, rng)
         x = layer_norm(ff_out, x, params[f"{layer}.ln2.gain"], params[f"{layer}.ln2.bias"])
+        del ff_out
     first = select(x, 0, axis=1)
     pooled = tanh(linear(first, params["encoder.pooler.w"], params["encoder.pooler.b"]))
     return EncoderOutput(h=x, pooled=pooled, mask=mask)

@@ -56,7 +56,7 @@ _HEADER = struct.Struct("<4sHI")  # magic, version, config document length
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file is corrupt or inconsistent with its config."""
+    """Checkpoint file is corrupt or inconsistent with its config, or would be if saved."""
 
 
 @dataclass
@@ -240,7 +240,16 @@ def save_checkpoint(
     The parameter data is model.values as raw float32 LE: the config in
     the document fixes every name and shape, so none is written. The
     trailer is the zlib CRC32 of every preceding byte, as u32 LE.
+    Before anything is written, each trained head's label list must hold
+    one label per class and the vocabulary one token per embedding row,
+    since loading rebuilds those counts from the lists.
     """
+    labels = {"country": country_labels, "province": province_labels}
+    for task, classes in model.config.tasks():
+        if len(labels[task]) != classes:
+            raise CheckpointError(f"{len(labels[task])} {task} labels for the model's {classes} {task} classes")
+    if len(vocab) != model.config.encoder.vocab_size:
+        raise CheckpointError(f"{len(vocab)} tokens for the model's {model.config.encoder.vocab_size} embedding rows")
     doc = _config_document(model.config, country_labels, province_labels, vocab)
     head = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(doc)) + doc
     data = np.asarray(model.values, "<f4")  # no copy when already float32

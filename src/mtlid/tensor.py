@@ -294,7 +294,8 @@ _GELU_C1 = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh formulation.
 
-    Forward and backward work in place on one or two temporaries. Each
+    Forward and backward work in place on one or two temporaries, and the
+    forward on one when no graph is recorded. Each
     step rounds as the textbook expression 0.5 x (1 + tanh(c0 (x + c1 x^3)))
     and its derivative do, so the values are the same.
     """
@@ -305,7 +306,9 @@ def gelu(a: Tensor) -> Tensor:
     t += x
     t *= _GELU_C0
     np.tanh(t, out=t)
-    y = t + 1.0
+    # With no backward to come, y takes t's buffer: inference holds one
+    # temporary of x's size, not two.
+    y = t + 1.0 if a.requires_grad and _GRAD_ENABLED.get() else np.add(t, 1.0, out=t)
     y *= x
     y *= 0.5
 

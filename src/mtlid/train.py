@@ -8,6 +8,9 @@ on the country task when that head exists, else on the province task.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset, write_file
-from .model import TASKS, MtlModel, compute_loss, param_specs, predict
+from .model import MtlModel, compute_loss, param_specs, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import (
     Adam,
@@ -28,13 +31,66 @@ from .tensor import (
 )
 
 
-# Padded positions (rows x longest true_length) one inference forward may
+# Padded positions (rows x longest true_length) one inference block may
 # hold. At d_ff 256 a block this size keeps each float32 feed-forward array
 # at 1 MB, within a core's 2 MB L2 cache, where 64 texts of 64 tokens make
 # 4 MB arrays. Of 256 to 2,048, 1,024 was as fast as any on long texts and
 # is the smallest that leaves a 64-row batch of 13-token texts whole; 512
-# cut those into 39-row blocks, which ran slower.
+# cut those into 39-row blocks, which ran slower. A block this budget cuts
+# short of batch_size rows runs as two row halves, on two threads where
+# the process may use two CPUs (see predict_texts). The halves in flight
+# together still hold at most this many positions, but the helper thread
+# allocates its half's arrays from its own malloc arena, beside its stack
+# and BLAS buffer: on 64-token texts at the default encoder, peak RSS over
+# a training run with dev scoring rose by about 3 MB (81 to 84 MB).
 INFERENCE_TOKENS = 1024
+INFERENCE_BATCH = 64  # texts per block unless the caller says otherwise
+
+
+class _Helper:
+    """The one thread that runs the second half of each split block.
+
+    The thread starts on first use and then waits for the next half. A
+    forked child inherits this object but not the thread, so it starts
+    its own. A concurrent.futures executor would do the same, but its
+    import, which loads logging, added 0.7 MB of peak memory.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        self._jobs: queue.SimpleQueue | None = None  # what the current thread reads
+
+    def submit(self, fn, *args) -> queue.SimpleQueue:
+        """Queue fn(*args); the returned queue yields (result, None) or (None, error)."""
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        with self._lock:
+            if self._thread is None or not self._thread.is_alive():
+                self._jobs = queue.SimpleQueue()
+                self._thread = threading.Thread(target=_serve, args=(self._jobs,), name="mtlid-predict", daemon=True)
+                self._thread.start()
+            self._jobs.put((fn, args, done))
+        return done
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        fn, args, done = jobs.get()
+        try:
+            done.put((fn(*args), None))
+        except BaseException as exc:  # the caller re-raises it; the thread serves on
+            done.put((None, exc))
+
+
+_helper = _Helper()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, as its affinity mask says where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class DivergenceError(RuntimeError):
@@ -131,51 +187,91 @@ def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
             raise DataError(f"{which}: {n_labels} {task} labels do not match the model's {classes} classes")
 
 
+def _labels(model: MtlModel, seqs: Sequence[TokenSequence]) -> list[np.ndarray]:
+    """Argmax class ids of one block per present head, in forward order.
+
+    Enters no_grad() itself: the helper thread does not see the caller's.
+    """
+    with no_grad():
+        return [predict(logits) for logits in model.forward(seqs) if logits is not None]
+
+
+def _predict_sequences(
+    model: MtlModel, seqs: Sequence[TokenSequence], batch_size: int
+) -> dict[str, np.ndarray]:
+    """predict_texts on encoded texts."""
+    require_count("batch_size", batch_size)
+    helper = _helper if _usable_cpus() > 1 else None
+    parts: list[list[np.ndarray]] = []  # ids per head of each block or half, in input order
+    start = 0
+    while start < len(seqs):
+        stop, width = start + 1, seqs[start].true_length
+        while stop < len(seqs) and stop - start < batch_size:
+            width = max(width, seqs[stop].true_length)
+            if (stop - start + 1) * width > INFERENCE_TOKENS:
+                break
+            stop += 1
+        if stop - start < 2 or batch_size * width <= INFERENCE_TOKENS:
+            parts.append(_labels(model, seqs[start:stop]))
+        else:
+            mid = (start + stop) // 2
+            if helper is None:
+                parts += [_labels(model, seqs[start:mid]), _labels(model, seqs[mid:stop])]
+            else:
+                second = helper.submit(_labels, model, seqs[mid:stop])
+                try:
+                    parts.append(_labels(model, seqs[start:mid]))
+                finally:
+                    ids, error = second.get()  # no half outlives its block
+                if error is not None:
+                    raise error
+                parts.append(ids)
+        start = stop
+    return {
+        task: np.concatenate([part[i] for part in parts]) if parts else np.zeros(0, dtype=np.intp)
+        for i, (task, _) in enumerate(model.config.tasks())
+    }
+
+
 def predict_texts(
-    model: MtlModel, vocab: Vocabulary, texts: Sequence[str], batch_size: int = 64
+    model: MtlModel, vocab: Vocabulary, texts: Sequence[str], batch_size: int = INFERENCE_BATCH
 ) -> dict[str, np.ndarray]:
     """Dropout-off argmax class ids per task head, one per raw text, in order.
 
     The texts run in consecutive blocks of at most batch_size texts whose
     rows times longest true_length stay within INFERENCE_TOKENS; a text over
-    that budget on its own is a block of one. Runs under no_grad: no graph
-    is built.
+    that budget on its own is a block of one. A block of two or more texts
+    that the budget, not batch_size, limits (batch_size times its longest
+    true_length is over INFERENCE_TOKENS) runs as two row halves. Where
+    the process's CPU affinity, read at each call, allows two or more
+    CPUs, the caller runs the first half while one helper thread, started
+    on first use, runs the second; on one CPU the caller runs both in
+    turn. The rows of every block and half are the same either way, so
+    the labels do not depend on the CPU count. They equal those of one
+    batch over all texts except at near-ties, since a row's BLAS result
+    depends on the rows it runs with: over 352 texts of 17 to 80 words at
+    l_max 64, a half-block's float32 logits differed from the whole
+    block's by at most 2.4e-7. Runs under no_grad: no graph is built.
     """
-    require_count("batch_size", batch_size)
-    seqs = _encode_texts(texts, vocab, model.config.encoder.l_max)
-    preds: dict[str, list[np.ndarray]] = {task: [] for task, _ in model.config.tasks()}
-    with no_grad():
-        start = 0
-        while start < len(seqs):
-            stop, width = start + 1, seqs[start].true_length
-            while stop < len(seqs) and stop - start < batch_size:
-                width = max(width, seqs[stop].true_length)
-                if (stop - start + 1) * width > INFERENCE_TOKENS:
-                    break
-                stop += 1
-            logits = dict(zip(TASKS, model.forward(seqs[start:stop])))
-            for task, blocks in preds.items():
-                blocks.append(predict(logits[task]))
-            start = stop
-    return {
-        task: np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
-        for task, blocks in preds.items()
-    }
+    return _predict_sequences(model, _encode_texts(texts, vocab, model.config.encoder.l_max), batch_size)
 
 
-def evaluate(
-    model: MtlModel, dataset: Dataset, vocab: Vocabulary, batch_size: int = 64
-) -> dict[str, MetricsReport]:
-    """Dropout-off predictions scored per task over the whole dataset."""
-    if not dataset.examples:
-        raise ValueError("evaluate: empty dataset")
-    _check_labels(dataset, model, "evaluate")
-    preds = predict_texts(model, vocab, [ex.text for ex in dataset.examples], batch_size)
+def _scores(model: MtlModel, dataset: Dataset, preds: dict[str, np.ndarray]) -> dict[str, MetricsReport]:
     reports = {}
     for task, classes in model.config.tasks():
         gold = np.array([getattr(ex, task) for ex in dataset.examples])
         reports[task] = metrics_from_predictions(gold, preds[task], classes)
     return reports
+
+
+def evaluate(
+    model: MtlModel, dataset: Dataset, vocab: Vocabulary, batch_size: int = INFERENCE_BATCH
+) -> dict[str, MetricsReport]:
+    """Dropout-off predictions scored per task over the whole dataset."""
+    if not dataset.examples:
+        raise ValueError("evaluate: empty dataset")
+    _check_labels(dataset, model, "evaluate")
+    return _scores(model, dataset, predict_texts(model, vocab, [ex.text for ex in dataset.examples], batch_size))
 
 
 def train(
@@ -187,9 +283,9 @@ def train(
 ) -> TrainResult:
     """Seeded epoch loop: shuffle, batch, backward, Adam step.
 
-    The last partial batch still trains. Dev, when given, is scored after
-    every epoch, and after the final epoch the model's parameters are
-    restored to the best dev epoch.
+    The last partial batch still trains. Dev, when given, is encoded once
+    and scored after every epoch as evaluate scores it, and after the
+    final epoch the model's parameters are restored to the best dev epoch.
     Raises DivergenceError, before any update from that step, at the first
     step whose loss or whose gradient is not finite. Each parameter's grad
     views one gradient array for the length of the call, and is None after.
@@ -197,9 +293,13 @@ def train(
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
     _check_labels(dataset_train, model, "train")
+    l_max = model.config.encoder.l_max
     if dataset_dev is not None:
+        if not dataset_dev.examples:
+            raise ValueError("train: empty dev dataset")
         _check_labels(dataset_dev, model, "dev")
-    seqs = _encode_texts([ex.text for ex in dataset_train.examples], vocab, model.config.encoder.l_max)
+        dev_seqs = _encode_texts([ex.text for ex in dataset_dev.examples], vocab, l_max)
+    seqs = _encode_texts([ex.text for ex in dataset_train.examples], vocab, l_max)
     labels_c = np.array([ex.country for ex in dataset_train.examples])
     labels_p = np.array([ex.province for ex in dataset_train.examples])
     rng = np.random.default_rng(cfg.seed)
@@ -238,7 +338,7 @@ def train(
                     loss_sum += report.total * len(idx)
             record = EpochRecord(epoch=epoch, train_loss=loss_sum / n)
             if dataset_dev is not None:
-                record.dev = evaluate(model, dataset_dev, vocab)
+                record.dev = _scores(model, dataset_dev, _predict_sequences(model, dev_seqs, INFERENCE_BATCH))
                 f1 = record.dev[key_task].macro_f1
                 if f1 > best_f1:
                     best_f1 = f1

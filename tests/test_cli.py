@@ -14,6 +14,7 @@ from mtlid import cli, data as data_mod, train as train_mod
 from mtlid.cli import build_parser, main
 from mtlid.data import SynthConfig, save_tsv, synth_generate
 from mtlid.model import load_checkpoint
+from mtlid.preprocess import clean_text
 
 CONFIG = {
     "encoder": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 32, "l_max": 12, "vocab_size": 512, "dropout_rate": 0.0},
@@ -145,6 +146,24 @@ def test_manifest_records_rows_empty_after_cleaning(corpus, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["flagged_ids"] == {"train": ["e1"], "dev": ["e2"]}
     assert manifest["seed"] == 0
+
+
+def test_train_cleans_each_split_twice_whatever_the_epoch_count(corpus, tmp_path, monkeypatch):
+    # cmd_train cleans train for the vocabulary and dev for the manifest, and
+    # train encodes each split once, not dev again after every epoch.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return clean_text(text)
+
+    monkeypatch.setattr(cli, "clean_text", counted)
+    monkeypatch.setattr(train_mod, "clean_text", counted)
+    args = ["train", "--train", str(corpus["train"]), "--dev", str(corpus["dev"]), "--config", str(corpus["config"])]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 0
+    n_train, n_dev = (len(data_mod.load_tsv(corpus[split]).examples) for split in ("train", "dev"))
+    assert CONFIG["train"]["epochs"] == 2
+    assert len(calls) == 2 * n_train + 2 * n_dev
 
 
 def test_manifest_records_the_blas_build_and_threads(corpus, tmp_path, monkeypatch):

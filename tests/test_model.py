@@ -585,6 +585,26 @@ def test_checkpoint_label_lists_must_match_class_counts(saved, country_labels):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("country_labels", ["egypt", "iraq", "jordan", "oman"], "4 country labels for the model's 3 country classes"),
+        ("province_labels", ["p0", "p1", "p2"], "3 province labels for the model's 4 province classes"),
+        ("vocab", build_vocab(["a b c d e f g h i j"], max_size=13), "13 tokens for the model's 12 embedding rows"),
+    ],
+    ids=["extra-country-label", "missing-province-label", "extra-token"],
+)
+def test_save_refuses_lists_that_do_not_fit_the_model_and_keeps_the_earlier_file(saved, field, value, message):
+    # Loading rebuilds each count from its list, so such a file could not load.
+    path, model, labels_c, labels_p, vocab = saved
+    before = path.read_bytes()
+    lists = {"country_labels": labels_c, "province_labels": labels_p, "vocab": vocab, field: value}
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        save_checkpoint(path, model, **lists)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
 def _edited_document(blob: bytes, edit) -> bytes:
     """The checkpoint with edit applied to its parsed config document, resealed."""
     (doc_len,) = struct.unpack("<I", blob[6:10])

@@ -693,6 +693,9 @@ def test_gelu_matches_textbook_expression_bitwise():
         out = gelu(Tensor(x, requires_grad=True))
         assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
         assert np.array_equal(out._vjp(g)[0], g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
+        with no_grad():  # the forward then reuses its one temporary for the output
+            assert np.array_equal(gelu(Tensor(x, requires_grad=True)).data, out.data)
+        assert np.array_equal(gelu(Tensor(x)).data, out.data)
 
 
 def _layer_norm_reference(x, gain, bias, g, eps=1e-5):

@@ -1,6 +1,12 @@
 """Metrics oracles, training-loop determinism, and report file formats."""
 
+import dataclasses
+import os
 import re
+import signal
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -268,6 +274,9 @@ def test_train_rejects_label_space_mismatch():
     )
     with pytest.raises(DataError):
         train(model, bad, dev_ds, vocab, TrainConfig(epochs=1))
+    empty_dev = Dataset(examples=[], country_labels=dev_ds.country_labels, province_labels=dev_ds.province_labels)
+    with pytest.raises(ValueError, match="empty dev dataset"):
+        train(model, train_ds, empty_dev, vocab, TrainConfig(epochs=1))
 
 
 def test_non_finite_gradient_under_finite_loss_stops_before_the_update():
@@ -363,17 +372,47 @@ def _true_lengths(model, vocab, texts):
     return [encode(clean_text(t), vocab, model.config.encoder.l_max).true_length for t in texts]
 
 
-def _record_blocks(monkeypatch, model):
-    """Wrap model.forward to record the true_lengths of each block it runs."""
-    blocks = []
+def _record_calls(monkeypatch, model):
+    """Wrap model.forward to record each call as (index of its first text,
+    its true_lengths, whether the calling thread ran it)."""
+    calls = []
+    index = {}
+    encode_texts = train_mod._encode_texts
+
+    def encoded(*args):
+        seqs = encode_texts(*args)
+        index.clear()
+        index.update((id(seq), i) for i, seq in enumerate(seqs))
+        return seqs
+
     forward = model.forward
 
     def recorded(seqs, *args, **kwargs):
-        blocks.append([s.true_length for s in seqs])
+        calls.append((index[id(seqs[0])], [s.true_length for s in seqs], threading.current_thread() is threading.main_thread()))
         return forward(seqs, *args, **kwargs)
 
+    monkeypatch.setattr(train_mod, "_encode_texts", encoded)
     monkeypatch.setattr(model, "forward", recorded)
+    return calls
+
+
+def _blocks(calls):
+    """Whole blocks in input order, each as (true_lengths, the row counts of
+    its forward calls): a call off the calling thread is the second half of
+    the block before it."""
+    blocks = []
+    for _, lengths, on_caller in sorted(calls):
+        if on_caller:
+            blocks.append((list(lengths), [len(lengths)]))
+        else:
+            blocks[-1][0].extend(lengths)
+            blocks[-1][1].append(len(lengths))
     return blocks
+
+
+def _usable_cpus(monkeypatch, n):
+    """The process may run on n CPUs, as predict_texts sees it."""
+    monkeypatch.setattr(train_mod.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -398,8 +437,10 @@ def test_blocks_hold_the_budget_and_the_row_cap_and_close_only_when_full(monkeyp
     model, vocab, texts = _mixed_length_setup()
     texts = texts * 4  # 144 texts: 128 rows at l_max 10 cross the real budget
     monkeypatch.setattr(train_mod, "INFERENCE_TOKENS", budget)
-    blocks = _record_blocks(monkeypatch, model)
+    _usable_cpus(monkeypatch, 2)  # second halves run on the helper thread
+    calls = _record_calls(monkeypatch, model)
     predict_texts(model, vocab, texts, batch_size)
+    blocks = [lengths for lengths, _ in _blocks(calls)]
     assert [n for block in blocks for n in block] == _true_lengths(model, vocab, texts)
     for block, after in zip(blocks, blocks[1:] + [None]):
         assert len(block) <= batch_size
@@ -407,23 +448,180 @@ def test_blocks_hold_the_budget_and_the_row_cap_and_close_only_when_full(monkeyp
         if after is not None:  # the next text would have broken a limit
             grown = block + after[:1]
             assert len(grown) > batch_size or len(grown) * max(grown) > budget
+    for block, rows in _blocks(calls):
+        if len(block) > 1 and batch_size * max(block) > budget:  # the budget limits it: two halves
+            assert rows == [len(block) // 2, len(block) - len(block) // 2]
+        else:  # the row cap limits it, or it is one text: whole, on the caller
+            assert rows == [len(block)]
 
 
 def test_a_text_over_the_budget_is_a_block_of_one(monkeypatch):
     model, vocab, _ = _mixed_length_setup()
     monkeypatch.setattr(train_mod, "INFERENCE_TOKENS", 5)
-    blocks = _record_blocks(monkeypatch, model)
+    calls = _record_calls(monkeypatch, model)
     long_text = " ".join(["w"] * 20)
     got = predict_texts(model, vocab, ["a", long_text, "a"])
-    assert blocks == [[2], [model.config.encoder.l_max], [2]]
+    assert _blocks(calls) == [([2], [1]), ([model.config.encoder.l_max], [1]), ([2], [1])]
     assert all(len(ids) == 3 for ids in got.values())
-    blocks.clear()
+    calls.clear()
     empty = predict_texts(model, vocab, [])
-    assert blocks == []
+    assert calls == []
     assert sorted(empty) == ["country", "province"]
     assert all(ids.shape == (0,) and ids.dtype == np.intp for ids in empty.values())
     with pytest.raises(ValueError, match="batch_size"):
         predict_texts(model, vocab, ["a"], batch_size=0)
+
+
+def _long_text_setup(mode, dtype=np.float64):
+    """A model at l_max 64 and 40 texts of 40 to 79 words: 64 rows would
+    hold over INFERENCE_TOKENS positions, so every block of two or more
+    texts is cut by the budget and runs as two halves."""
+    _, _, vocab, config = tiny_setup(mode=mode)
+    config = dataclasses.replace(config, encoder=dataclasses.replace(config.encoder, l_max=64))
+    words = sorted(vocab.token_to_id)
+    rng = np.random.default_rng(6)
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(40, 80)))) for _ in range(40)]
+    return MtlModel(config, global_seed=0, dtype=dtype), vocab, texts
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_labels_with_the_helper_equal_labels_on_one_cpu(monkeypatch, mode):
+    model, vocab, texts = _long_text_setup(mode)
+    l_max = model.config.encoder.l_max
+    with no_grad():
+        one_by_one = [dict(zip(TASKS, model.forward([encode(clean_text(t), vocab, l_max)]))) for t in texts]
+    calls = _record_calls(monkeypatch, model)
+    _usable_cpus(monkeypatch, 1)
+    one_cpu = predict_texts(model, vocab, texts)
+    assert all(on_caller for *_, on_caller in calls)
+    calls.clear()
+    _usable_cpus(monkeypatch, 2)
+    two_cpus = predict_texts(model, vocab, texts)
+    assert not all(on_caller for *_, on_caller in calls)  # the helper ran second halves
+    assert sorted(two_cpus) == sorted(one_cpu) == sorted(task for task, _ in model.config.tasks())
+    for task, ids in one_cpu.items():
+        expected = np.concatenate([predict(logits[task]) for logits in one_by_one])
+        assert len(set(expected)) > 1  # a half joined out of order would show
+        np.testing.assert_array_equal(ids, expected)
+        np.testing.assert_array_equal(two_cpus[task], expected)
+
+
+def test_the_helpers_half_records_no_graph(monkeypatch):
+    model, vocab, texts = _long_text_setup("mtl")
+    _usable_cpus(monkeypatch, 2)
+    outputs = []
+    forward = model.forward
+
+    def recorded(seqs, *args, **kwargs):
+        logits = forward(seqs, *args, **kwargs)
+        outputs.append((threading.current_thread() is threading.main_thread(), logits))
+        return logits
+
+    monkeypatch.setattr(model, "forward", recorded)
+    predict_texts(model, vocab, texts)
+    assert {on_caller for on_caller, _ in outputs} == {True, False}
+    for _, logits in outputs:
+        assert all(t._parents == () and not t.requires_grad for t in logits)
+
+
+class HalfError(Exception):
+    pass
+
+
+def test_an_error_in_the_helpers_half_reaches_the_caller_as_itself(monkeypatch):
+    model, vocab, texts = _long_text_setup("country")
+    _usable_cpus(monkeypatch, 2)
+    error = HalfError("second half")
+    forward = model.forward
+
+    def failing(seqs, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", failing)
+    with pytest.raises(HalfError) as info:
+        predict_texts(model, vocab, texts)
+    assert info.value is error
+    monkeypatch.setattr(model, "forward", forward)
+    assert predict_texts(model, vocab, texts)["country"].shape == (len(texts),)  # the helper still serves
+
+
+@pytest.mark.parametrize("source", ["affinity", "cpu_count"])
+def test_one_usable_cpu_starts_no_thread(monkeypatch, source):
+    model, vocab, texts = _long_text_setup("mtl")
+    if source == "affinity":
+        _usable_cpus(monkeypatch, 1)
+    else:  # a platform without an affinity mask
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(train_mod, "_helper", train_mod._Helper())  # its thread not yet started
+    calls = _record_calls(monkeypatch, model)
+    before = threading.active_count()
+    predict_texts(model, vocab, texts)
+    assert threading.active_count() == before
+    assert all(on_caller for *_, on_caller in calls)
+    one_cpu = sorted((start, lengths) for start, lengths, _ in calls)
+    calls.clear()
+    _usable_cpus(monkeypatch, 2)  # the same call on two CPUs does start it
+    predict_texts(model, vocab, texts)
+    assert threading.active_count() == before + 1
+    assert sorted((start, lengths) for start, lengths, _ in calls) == one_cpu  # the same halves, in turn
+    assert len(one_cpu) == 2 * len(_blocks(calls))
+
+
+def test_concurrent_callers_share_one_helper_thread(monkeypatch):
+    model, vocab, texts = _long_text_setup("country", dtype=np.float32)
+    _usable_cpus(monkeypatch, 1)
+    expected = predict_texts(model, vocab, texts)["country"]
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(train_mod, "_helper", train_mod._Helper())  # four callers race to start it
+    before = set(threading.enumerate())
+    results, errors = [], []
+
+    def call():
+        try:
+            for _ in range(3):
+                results.append(predict_texts(model, vocab, texts)["country"])
+        except Exception as exc:
+            errors.append(exc)
+
+    callers = [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers) and errors == []
+    assert len(results) == 12 and all(np.array_equal(ids, expected) for ids in results)
+    assert [t.name for t in set(threading.enumerate()) - before] == ["mtlid-predict"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper(monkeypatch):
+    # The child inherits the parent's helper but not its thread.
+    model, vocab, texts = _long_text_setup("country")
+    _usable_cpus(monkeypatch, 2)
+    expected = predict_texts(model, vocab, texts)["country"]  # the helper thread now runs
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(predict_texts(model, vocab, texts)["country"], expected) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's prediction did not finish in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def test_every_epoch_carries_dev_metrics():
