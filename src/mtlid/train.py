@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,52 +36,15 @@ from .tensor import (
 # 4 MB arrays. Of 256 to 2,048, 1,024 was as fast as any on long texts and
 # is the smallest that leaves a 64-row batch of 13-token texts whole; 512
 # cut those into 39-row blocks, which ran slower. A block this budget cuts
-# short of batch_size rows runs as two row halves, on two threads where
-# the process may use two CPUs (see predict_texts). The halves in flight
-# together still hold at most this many positions, but the helper thread
-# allocates its half's arrays from its own malloc arena, beside its stack
+# short of batch_size rows runs as two row halves. Where the process may
+# use two CPUs, a helper thread that lives for one predict_texts call runs
+# the second halves while the caller runs the rest (see predict_texts), so
+# a block or first half and a second half can be in flight together. The
+# helper allocates its arrays from its own malloc arena, beside its stack
 # and BLAS buffer: on 64-token texts at the default encoder, peak RSS over
-# a training run with dev scoring rose by about 3 MB (81 to 84 MB).
+# a training run with dev scoring is about 2 MB above one CPU's.
 INFERENCE_TOKENS = 1024
 INFERENCE_BATCH = 64  # texts per block unless the caller says otherwise
-
-
-class _Helper:
-    """The one thread that runs the second half of each split block.
-
-    The thread starts on first use and then waits for the next half. A
-    forked child inherits this object but not the thread, so it starts
-    its own. A concurrent.futures executor would do the same, but its
-    import, which loads logging, added 0.7 MB of peak memory.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._jobs: queue.SimpleQueue | None = None  # what the current thread reads
-
-    def submit(self, fn, *args) -> queue.SimpleQueue:
-        """Queue fn(*args); the returned queue yields (result, None) or (None, error)."""
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        with self._lock:
-            if self._thread is None or not self._thread.is_alive():
-                self._jobs = queue.SimpleQueue()
-                self._thread = threading.Thread(target=_serve, args=(self._jobs,), name="mtlid-predict", daemon=True)
-                self._thread.start()
-            self._jobs.put((fn, args, done))
-        return done
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        fn, args, done = jobs.get()
-        try:
-            done.put((fn(*args), None))
-        except BaseException as exc:  # the caller re-raises it; the thread serves on
-            done.put((None, exc))
-
-
-_helper = _Helper()
 
 
 def _usable_cpus() -> int:
@@ -140,6 +102,7 @@ class TrainResult:
 
 
 def confusion_matrix(gold: np.ndarray, pred: np.ndarray, n_classes: int) -> np.ndarray:
+    require_count("n_classes", n_classes)
     gold = np.asarray(gold)
     pred = np.asarray(pred)
     if gold.shape != pred.shape:
@@ -201,8 +164,7 @@ def _predict_sequences(
 ) -> dict[str, np.ndarray]:
     """predict_texts on encoded texts."""
     require_count("batch_size", batch_size)
-    helper = _helper if _usable_cpus() > 1 else None
-    parts: list[list[np.ndarray]] = []  # ids per head of each block or half, in input order
+    blocks: list[tuple[int, int, int]] = []  # (start, mid, stop); mid == stop where the block runs whole
     start = 0
     while start < len(seqs):
         stop, width = start + 1, seqs[start].true_length
@@ -211,22 +173,43 @@ def _predict_sequences(
             if (stop - start + 1) * width > INFERENCE_TOKENS:
                 break
             stop += 1
-        if stop - start < 2 or batch_size * width <= INFERENCE_TOKENS:
-            parts.append(_labels(model, seqs[start:stop]))
-        else:
-            mid = (start + stop) // 2
-            if helper is None:
-                parts += [_labels(model, seqs[start:mid]), _labels(model, seqs[mid:stop])]
-            else:
-                second = helper.submit(_labels, model, seqs[mid:stop])
-                try:
-                    parts.append(_labels(model, seqs[start:mid]))
-                finally:
-                    ids, error = second.get()  # no half outlives its block
-                if error is not None:
-                    raise error
-                parts.append(ids)
+        split = stop - start > 1 and batch_size * width > INFERENCE_TOKENS
+        blocks.append((start, (start + stop) // 2 if split else stop, stop))
         start = stop
+    seconds = [seqs[mid:stop] for _, mid, stop in blocks if mid < stop]
+    done: list[list[np.ndarray]] = []  # the helper's ids per head of each second half, in order
+    errors: list[BaseException] = []  # once this holds one, the helper starts no further half
+
+    def run_seconds() -> None:
+        try:
+            for half in seconds:
+                if errors:
+                    return
+                done.append(_labels(model, half))
+        except BaseException as exc:  # the caller re-raises it
+            errors.append(exc)
+
+    helper = None
+    if seconds and _usable_cpus() > 1:
+        # daemon: an interrupted join does not hold up the process's exit
+        helper = threading.Thread(target=run_seconds, name="mtlid-predict", daemon=True)
+        helper.start()
+    parts: list[list[np.ndarray] | None] = []  # ids per head of each block or half; None: the helper's
+    try:
+        for start, mid, stop in blocks:
+            parts.append(_labels(model, seqs[start:mid]))
+            if mid < stop:
+                parts.append(_labels(model, seqs[mid:stop]) if helper is None else None)
+    except BaseException as exc:
+        errors.append(exc)  # the caller's own: it stops the helper
+        raise
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+    halves = iter(done)
+    parts = [next(halves) if part is None else part for part in parts]
     return {
         task: np.concatenate([part[i] for part in parts]) if parts else np.zeros(0, dtype=np.intp)
         for i, (task, _) in enumerate(model.config.tasks())
@@ -242,16 +225,19 @@ def predict_texts(
     rows times longest true_length stay within INFERENCE_TOKENS; a text over
     that budget on its own is a block of one. A block of two or more texts
     that the budget, not batch_size, limits (batch_size times its longest
-    true_length is over INFERENCE_TOKENS) runs as two row halves. Where
-    the process's CPU affinity, read at each call, allows two or more
-    CPUs, the caller runs the first half while one helper thread, started
-    on first use, runs the second; on one CPU the caller runs both in
-    turn. The rows of every block and half are the same either way, so
-    the labels do not depend on the CPU count. They equal those of one
-    batch over all texts except at near-ties, since a row's BLAS result
-    depends on the rows it runs with: over 352 texts of 17 to 80 words at
-    l_max 64, a half-block's float32 logits differed from the whole
-    block's by at most 2.4e-7. Runs under no_grad: no graph is built.
+    true_length is over INFERENCE_TOKENS) runs as two row halves. The
+    blocks are cut first. If one splits and the process's CPU affinity,
+    read at each call, allows two or more CPUs, one helper thread starts
+    for this call and runs the second halves in input order while the
+    caller runs whole blocks and first halves; the call joins it before
+    it returns, and each concurrent caller runs its own. On one CPU the
+    caller runs both halves in turn. The rows of every block and half are
+    the same either way, so the labels do not depend on the CPU count.
+    They equal those of one batch over all texts except at near-ties,
+    since a row's BLAS result depends on the rows it runs with: over 352
+    texts of 17 to 80 words at l_max 64, a half-block's float32 logits
+    differed from the whole block's by at most 2.4e-7. Runs under
+    no_grad: no graph is built.
     """
     return _predict_sequences(model, _encode_texts(texts, vocab, model.config.encoder.l_max), batch_size)
 

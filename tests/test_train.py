@@ -144,6 +144,14 @@ def test_confusion_matrix_basics():
         confusion_matrix(np.array([3]), np.array([0]), 2)
 
 
+@pytest.mark.parametrize("n_classes", [0, -1, 2.0, True])
+@pytest.mark.parametrize("gold", [[], [0, 0]], ids=["no_rows", "two_rows"])
+def test_a_bad_class_count_is_a_value_error_that_names_it(gold, n_classes):
+    gold = np.array(gold, dtype=np.intp)
+    with pytest.raises(ValueError, match="n_classes"):
+        metrics_from_predictions(gold, gold, n_classes)
+
+
 def test_accuracy_equals_trace_over_n():
     rng = np.random.default_rng(2)
     gold = rng.integers(0, 5, size=200)
@@ -544,7 +552,53 @@ def test_an_error_in_the_helpers_half_reaches_the_caller_as_itself(monkeypatch):
         predict_texts(model, vocab, texts)
     assert info.value is error
     monkeypatch.setattr(model, "forward", forward)
-    assert predict_texts(model, vocab, texts)["country"].shape == (len(texts),)  # the helper still serves
+    assert predict_texts(model, vocab, texts)["country"].shape == (len(texts),)  # a later call runs
+
+
+def test_an_error_in_the_callers_half_reaches_it_as_itself_and_stops_the_helper(monkeypatch):
+    model, vocab, texts = _long_text_setup("country")  # three split blocks: three second halves
+    _usable_cpus(monkeypatch, 2)
+    error = HalfError("first half")
+    events = []
+    helper_began = threading.Event()
+    forward = model.forward
+
+    def failing(seqs, *args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            helper_began.wait(timeout=10)
+            events.append("caller raises")
+            raise error
+        events.append("helper begins")
+        helper_began.set()
+        time.sleep(0.05)  # the caller raises during this half
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", failing)
+    before = threading.enumerate()
+    with pytest.raises(HalfError) as info:
+        predict_texts(model, vocab, texts)
+    assert info.value is error
+    assert threading.enumerate() == before
+    assert "caller raises" in events
+    assert events[events.index("caller raises") :].count("helper begins") <= 1
+
+
+def test_no_thread_outlives_predict_texts(monkeypatch):
+    model, vocab, texts = _long_text_setup("mtl")
+    _usable_cpus(monkeypatch, 2)
+    ran = []
+    forward = model.forward
+
+    def recorded(seqs, *args, **kwargs):
+        ran.append(threading.current_thread())
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recorded)
+    before = threading.enumerate()
+    predict_texts(model, vocab, texts)
+    assert threading.enumerate() == before
+    helpers = {t for t in ran if t is not threading.main_thread()}
+    assert len(helpers) == 1 and not any(t.is_alive() for t in helpers)
 
 
 @pytest.mark.parametrize("source", ["affinity", "cpu_count"])
@@ -555,27 +609,43 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch, source):
     else:  # a platform without an affinity mask
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(train_mod, "_helper", train_mod._Helper())  # its thread not yet started
     calls = _record_calls(monkeypatch, model)
+    counts = []  # threads alive at each forward call
+    recorded = model.forward
+
+    def counted(seqs, *args, **kwargs):
+        counts.append(threading.active_count())
+        return recorded(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
     before = threading.active_count()
     predict_texts(model, vocab, texts)
-    assert threading.active_count() == before
+    assert set(counts) == {before} and threading.active_count() == before
     assert all(on_caller for *_, on_caller in calls)
     one_cpu = sorted((start, lengths) for start, lengths, _ in calls)
     calls.clear()
-    _usable_cpus(monkeypatch, 2)  # the same call on two CPUs does start it
+    counts.clear()
+    _usable_cpus(monkeypatch, 2)  # the same call on two CPUs runs a helper for the call alone
     predict_texts(model, vocab, texts)
-    assert threading.active_count() == before + 1
+    assert before + 1 in counts and threading.active_count() == before
     assert sorted((start, lengths) for start, lengths, _ in calls) == one_cpu  # the same halves, in turn
     assert len(one_cpu) == 2 * len(_blocks(calls))
 
 
-def test_concurrent_callers_share_one_helper_thread(monkeypatch):
+def test_concurrent_callers_each_run_their_own_helper(monkeypatch):
     model, vocab, texts = _long_text_setup("country", dtype=np.float32)
     _usable_cpus(monkeypatch, 1)
     expected = predict_texts(model, vocab, texts)["country"]
     _usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(train_mod, "_helper", train_mod._Helper())  # four callers race to start it
+    helpers = set()
+    forward = model.forward
+
+    def recorded(seqs, *args, **kwargs):
+        if threading.current_thread().name == "mtlid-predict":
+            helpers.add(threading.current_thread())
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recorded)
     before = set(threading.enumerate())
     results, errors = [], []
 
@@ -598,15 +668,16 @@ def test_concurrent_callers_share_one_helper_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers) and errors == []
     assert len(results) == 12 and all(np.array_equal(ids, expected) for ids in results)
-    assert [t.name for t in set(threading.enumerate()) - before] == ["mtlid-predict"]
+    assert len(helpers) == 12  # one helper per call
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helper(monkeypatch):
-    # The child inherits the parent's helper but not its thread.
+    # A child forked after a prediction predicts as the parent did.
     model, vocab, texts = _long_text_setup("country")
     _usable_cpus(monkeypatch, 2)
-    expected = predict_texts(model, vocab, texts)["country"]  # the helper thread now runs
+    expected = predict_texts(model, vocab, texts)["country"]
     pid = os.fork()
     if pid == 0:
         code = 1
