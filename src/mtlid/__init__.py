@@ -8,3 +8,7 @@ synthetic hierarchical corpus generator, and a command-line interface.
 """
 
 __version__ = "0.1.0"
+
+# Environment variables that set the BLAS thread count, which changes
+# the summation order of large products and so the trained bytes.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

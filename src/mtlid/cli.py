@@ -8,6 +8,9 @@ records numpy, its BLAS build and the BLAS thread settings: seeded bytes
 repeat only for one such build and thread count. The manifest is written
 last, and an earlier one is removed before the first artifact is
 replaced, so a manifest never describes another run's files.
+
+The `mtlid` command enters through `mtlid.__main__`, which fixes the BLAS
+thread count before this module loads numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data as data_mod, train as train_mod
+from . import BLAS_THREAD_VARS, __version__, data as data_mod, train as train_mod
 from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate, write_file
 from .encoder import EncoderConfig
 from .model import MODE_TASKS, MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
@@ -32,10 +35,6 @@ from .train import TrainConfig, evaluate, predict_texts, write_confusion, write_
 
 # Settings the command line fixes; a config file may not set them.
 _CLI_OWNED = {"mode", "n_countries", "n_provinces", "seed"}
-
-# Environment variables that set the BLAS thread count, which changes
-# the summation order of large products and so the trained bytes.
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _settings(cls) -> list[str]:
@@ -75,7 +74,7 @@ def _runtime() -> dict:
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 
 
@@ -332,7 +331,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failures: I/O, corrupt checkpoints, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

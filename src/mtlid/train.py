@@ -35,14 +35,16 @@ from .tensor import (
 # at 1 MB, within a core's 2 MB L2 cache, where 64 texts of 64 tokens make
 # 4 MB arrays. Of 256 to 2,048, 1,024 was as fast as any on long texts and
 # is the smallest that leaves a 64-row batch of 13-token texts whole; 512
-# cut those into 39-row blocks, which ran slower. A block this budget cuts
-# short of batch_size rows runs as two row halves. Where the process may
-# use two CPUs, a helper thread that lives for one predict_texts call runs
-# the second halves while the caller runs the rest (see predict_texts), so
-# a block or first half and a second half can be in flight together. The
-# helper allocates its arrays from its own malloc arena, beside its stack
-# and BLAS buffer: on 64-token texts at the default encoder, peak RSS over
-# a training run with dev scoring is about 2 MB above one CPU's.
+# cut those into 39-row blocks, which ran slower. Blocks always run whole.
+# When this budget cuts some block short of batch_size rows and a call has
+# two or more blocks, a helper thread that lives for one predict_texts call
+# runs every second block while the caller runs the rest, where the
+# process may use two CPUs (see predict_texts). A whole block keeps
+# each numpy call long enough that the two threads seldom wait on each
+# other for the interpreter lock; blocks of about 512 positions ran only
+# 1.1-1.3x as fast on two threads as in turn. The helper's own malloc
+# arena raises peak RSS: about 2% on 64-token texts, but 5% on short
+# texts, so calls whose blocks batch_size limits stay on the caller.
 INFERENCE_TOKENS = 1024
 INFERENCE_BATCH = 64  # texts per block unless the caller says otherwise
 
@@ -164,7 +166,8 @@ def _predict_sequences(
 ) -> dict[str, np.ndarray]:
     """predict_texts on encoded texts."""
     require_count("batch_size", batch_size)
-    blocks: list[tuple[int, int, int]] = []  # (start, mid, stop); mid == stop where the block runs whole
+    blocks: list[Sequence[TokenSequence]] = []
+    budgeted = False  # some block of two or more texts is cut by the budget, not by batch_size
     start = 0
     while start < len(seqs):
         stop, width = start + 1, seqs[start].true_length
@@ -173,33 +176,29 @@ def _predict_sequences(
             if (stop - start + 1) * width > INFERENCE_TOKENS:
                 break
             stop += 1
-        split = stop - start > 1 and batch_size * width > INFERENCE_TOKENS
-        blocks.append((start, (start + stop) // 2 if split else stop, stop))
+        budgeted = budgeted or (stop - start > 1 and batch_size * width > INFERENCE_TOKENS)
+        blocks.append(seqs[start:stop])
         start = stop
-    seconds = [seqs[mid:stop] for _, mid, stop in blocks if mid < stop]
-    done: list[list[np.ndarray]] = []  # the helper's ids per head of each second half, in order
-    errors: list[BaseException] = []  # once this holds one, the helper starts no further half
+    parts: list[list[np.ndarray] | None] = [None] * len(blocks)  # ids per head of each block
+    errors: list[BaseException] = []  # once this holds one, the helper starts no further block
 
-    def run_seconds() -> None:
+    def run_odd() -> None:
         try:
-            for half in seconds:
+            for i in range(1, len(blocks), 2):
                 if errors:
                     return
-                done.append(_labels(model, half))
+                parts[i] = _labels(model, blocks[i])
         except BaseException as exc:  # the caller re-raises it
             errors.append(exc)
 
     helper = None
-    if seconds and _usable_cpus() > 1:
+    if budgeted and len(blocks) > 1 and _usable_cpus() > 1:
         # daemon: an interrupted join does not hold up the process's exit
-        helper = threading.Thread(target=run_seconds, name="mtlid-predict", daemon=True)
+        helper = threading.Thread(target=run_odd, name="mtlid-predict", daemon=True)
         helper.start()
-    parts: list[list[np.ndarray] | None] = []  # ids per head of each block or half; None: the helper's
     try:
-        for start, mid, stop in blocks:
-            parts.append(_labels(model, seqs[start:mid]))
-            if mid < stop:
-                parts.append(_labels(model, seqs[mid:stop]) if helper is None else None)
+        for i in range(0, len(blocks), 1 if helper is None else 2):
+            parts[i] = _labels(model, blocks[i])
     except BaseException as exc:
         errors.append(exc)  # the caller's own: it stops the helper
         raise
@@ -208,8 +207,6 @@ def _predict_sequences(
             helper.join()
     if errors:
         raise errors[0]
-    halves = iter(done)
-    parts = [next(halves) if part is None else part for part in parts]
     return {
         task: np.concatenate([part[i] for part in parts]) if parts else np.zeros(0, dtype=np.intp)
         for i, (task, _) in enumerate(model.config.tasks())
@@ -223,21 +220,20 @@ def predict_texts(
 
     The texts run in consecutive blocks of at most batch_size texts whose
     rows times longest true_length stay within INFERENCE_TOKENS; a text over
-    that budget on its own is a block of one. A block of two or more texts
-    that the budget, not batch_size, limits (batch_size times its longest
-    true_length is over INFERENCE_TOKENS) runs as two row halves. The
-    blocks are cut first. If one splits and the process's CPU affinity,
-    read at each call, allows two or more CPUs, one helper thread starts
-    for this call and runs the second halves in input order while the
-    caller runs whole blocks and first halves; the call joins it before
-    it returns, and each concurrent caller runs its own. On one CPU the
-    caller runs both halves in turn. The rows of every block and half are
-    the same either way, so the labels do not depend on the CPU count.
-    They equal those of one batch over all texts except at near-ties,
-    since a row's BLAS result depends on the rows it runs with: over 352
-    texts of 17 to 80 words at l_max 64, a half-block's float32 logits
-    differed from the whole block's by at most 2.4e-7. Runs under
-    no_grad: no graph is built.
+    that budget on its own is a block of one. Every block runs whole. If
+    some block of two or more texts is limited by the budget, not by
+    batch_size (batch_size times its longest true_length is over
+    INFERENCE_TOKENS), the call has two or more blocks, and the process's
+    CPU affinity, read at each call, allows two or more CPUs, one helper
+    thread starts for this call. It runs the second, fourth, ... blocks
+    in input order while the caller runs the first, third, ...; the call
+    joins it before it returns, and each concurrent caller runs its own.
+    Otherwise the caller runs every block: on one CPU, for a lone block,
+    and where batch_size limits every block, as with short texts. The
+    rows of every block are the same either way, so the labels do not
+    depend on the CPU count. They equal those of one batch over all texts
+    except at near-ties, since a row's BLAS result depends on the rows it
+    runs with. Runs under no_grad: no graph is built.
     """
     return _predict_sequences(model, _encode_texts(texts, vocab, model.config.encoder.l_max), batch_size)
 

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtlid
 from mtlid import cli, data as data_mod, train as train_mod
 from mtlid.cli import build_parser, main
 from mtlid.data import SynthConfig, save_tsv, synth_generate
@@ -180,6 +184,25 @@ def test_manifest_records_the_blas_build_and_threads(corpus, tmp_path, monkeypat
     assert set(runtime["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert runtime["threads"]["OPENBLAS_NUM_THREADS"] == "3"
     assert runtime["threads"]["MKL_NUM_THREADS"] is None
+
+
+@pytest.mark.parametrize("user_set", [{}, {"MKL_NUM_THREADS": "3"}], ids=["all-unset", "mkl-set"])
+def test_the_console_entry_sets_each_unset_blas_thread_variable_to_one(corpus, tmp_path, user_set):
+    # the installed command pins BLAS to one thread before numpy loads, so
+    # OpenBLAS's threads do not compete with the inference helper; a value
+    # the user sets wins
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^mtlid = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    entry = f"import sys; from {module} import {func}; assert 'numpy' not in sys.modules; sys.exit({func}())"
+    env = {var: value for var, value in os.environ.items() if var not in mtlid.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(mtlid.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    env.update(user_set)
+    out = tmp_path / "o"
+    args = ["--train", str(corpus["train"]), "--dev", str(corpus["dev"]), "--config", str(corpus["config"])]
+    run = subprocess.run([sys.executable, "-c", entry, "train", *args, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    threads = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runtime"]["threads"]
+    assert threads == {var: user_set.get(var, "1") for var in mtlid.BLAS_THREAD_VARS}
 
 
 def test_bad_config_is_usage_error(corpus, tmp_path, capsys, monkeypatch):

@@ -380,9 +380,12 @@ def _true_lengths(model, vocab, texts):
     return [encode(clean_text(t), vocab, model.config.encoder.l_max).true_length for t in texts]
 
 
+CALLER = threading.main_thread().name
+
+
 def _record_calls(monkeypatch, model):
     """Wrap model.forward to record each call as (index of its first text,
-    its true_lengths, whether the calling thread ran it)."""
+    its true_lengths, the name of the thread that ran it)."""
     calls = []
     index = {}
     encode_texts = train_mod._encode_texts
@@ -396,7 +399,7 @@ def _record_calls(monkeypatch, model):
     forward = model.forward
 
     def recorded(seqs, *args, **kwargs):
-        calls.append((index[id(seqs[0])], [s.true_length for s in seqs], threading.current_thread() is threading.main_thread()))
+        calls.append((index[id(seqs[0])], [s.true_length for s in seqs], threading.current_thread().name))
         return forward(seqs, *args, **kwargs)
 
     monkeypatch.setattr(train_mod, "_encode_texts", encoded)
@@ -405,17 +408,17 @@ def _record_calls(monkeypatch, model):
 
 
 def _blocks(calls):
-    """Whole blocks in input order, each as (true_lengths, the row counts of
-    its forward calls): a call off the calling thread is the second half of
-    the block before it."""
-    blocks = []
-    for _, lengths, on_caller in sorted(calls):
-        if on_caller:
-            blocks.append((list(lengths), [len(lengths)]))
-        else:
-            blocks[-1][0].extend(lengths)
-            blocks[-1][1].append(len(lengths))
-    return blocks
+    """The blocks in input order, each as its true_lengths: every forward
+    call runs one whole block."""
+    return [lengths for _, lengths, _ in sorted(calls)]
+
+
+def _assert_helper_ran_every_second_block(calls):
+    """The helper thread ran exactly the second, fourth, ... blocks, in input
+    order, and the caller the rest."""
+    assert [name for *_, name in sorted(calls)] == [CALLER if i % 2 == 0 else "mtlid-predict" for i in range(len(calls))]
+    helper_starts = [start for start, _, name in calls if name != CALLER]
+    assert helper_starts == sorted(helper_starts)
 
 
 def _usable_cpus(monkeypatch, n):
@@ -445,22 +448,22 @@ def test_blocks_hold_the_budget_and_the_row_cap_and_close_only_when_full(monkeyp
     model, vocab, texts = _mixed_length_setup()
     texts = texts * 4  # 144 texts: 128 rows at l_max 10 cross the real budget
     monkeypatch.setattr(train_mod, "INFERENCE_TOKENS", budget)
-    _usable_cpus(monkeypatch, 2)  # second halves run on the helper thread
+    _usable_cpus(monkeypatch, 2)  # every second block runs on the helper thread
     calls = _record_calls(monkeypatch, model)
     predict_texts(model, vocab, texts, batch_size)
-    blocks = [lengths for lengths, _ in _blocks(calls)]
+    blocks = _blocks(calls)
+    assert len(blocks) > 1
     assert [n for block in blocks for n in block] == _true_lengths(model, vocab, texts)
-    for block, after in zip(blocks, blocks[1:] + [None]):
+    for block, after in zip(blocks, blocks[1:] + [None]):  # so every block runs whole
         assert len(block) <= batch_size
         assert len(block) == 1 or len(block) * max(block) <= budget
         if after is not None:  # the next text would have broken a limit
             grown = block + after[:1]
             assert len(grown) > batch_size or len(grown) * max(grown) > budget
-    for block, rows in _blocks(calls):
-        if len(block) > 1 and batch_size * max(block) > budget:  # the budget limits it: two halves
-            assert rows == [len(block) // 2, len(block) - len(block) // 2]
-        else:  # the row cap limits it, or it is one text: whole, on the caller
-            assert rows == [len(block)]
+    if any(len(block) > 1 and batch_size * max(block) > budget for block in blocks):  # the budget limits one
+        _assert_helper_ran_every_second_block(calls)
+    else:  # the row cap limits every block, or each is one text: all on the caller
+        assert {name for *_, name in calls} == {CALLER}
 
 
 def test_a_text_over_the_budget_is_a_block_of_one(monkeypatch):
@@ -469,7 +472,7 @@ def test_a_text_over_the_budget_is_a_block_of_one(monkeypatch):
     calls = _record_calls(monkeypatch, model)
     long_text = " ".join(["w"] * 20)
     got = predict_texts(model, vocab, ["a", long_text, "a"])
-    assert _blocks(calls) == [([2], [1]), ([model.config.encoder.l_max], [1]), ([2], [1])]
+    assert _blocks(calls) == [[2], [model.config.encoder.l_max], [2]]
     assert all(len(ids) == 3 for ids in got.values())
     calls.clear()
     empty = predict_texts(model, vocab, [])
@@ -483,7 +486,7 @@ def test_a_text_over_the_budget_is_a_block_of_one(monkeypatch):
 def _long_text_setup(mode, dtype=np.float64):
     """A model at l_max 64 and 40 texts of 40 to 79 words: 64 rows would
     hold over INFERENCE_TOKENS positions, so every block of two or more
-    texts is cut by the budget and runs as two halves."""
+    texts is cut by the budget, into blocks of 16, 16 and 8 texts."""
     _, _, vocab, config = tiny_setup(mode=mode)
     config = dataclasses.replace(config, encoder=dataclasses.replace(config.encoder, l_max=64))
     words = sorted(vocab.token_to_id)
@@ -495,26 +498,33 @@ def _long_text_setup(mode, dtype=np.float64):
 @pytest.mark.parametrize("mode", MODES)
 def test_labels_with_the_helper_equal_labels_on_one_cpu(monkeypatch, mode):
     model, vocab, texts = _long_text_setup(mode)
-    l_max = model.config.encoder.l_max
+    seqs = train_mod._encode_texts(texts, vocab, model.config.encoder.l_max)
+    forward = model.forward
     with no_grad():
-        one_by_one = [dict(zip(TASKS, model.forward([encode(clean_text(t), vocab, l_max)]))) for t in texts]
+        one_by_one = [dict(zip(TASKS, forward([seq]))) for seq in seqs]
     calls = _record_calls(monkeypatch, model)
     _usable_cpus(monkeypatch, 1)
     one_cpu = predict_texts(model, vocab, texts)
-    assert all(on_caller for *_, on_caller in calls)
+    assert {name for *_, name in calls} == {CALLER}
+    blocks = sorted((start, len(lengths)) for start, lengths, _ in calls)
+    assert len(blocks) == 3
+    with no_grad():  # the same blocks, one after another on this thread
+        serial = [dict(zip(TASKS, forward(seqs[start : start + rows]))) for start, rows in blocks]
     calls.clear()
     _usable_cpus(monkeypatch, 2)
     two_cpus = predict_texts(model, vocab, texts)
-    assert not all(on_caller for *_, on_caller in calls)  # the helper ran second halves
+    _assert_helper_ran_every_second_block(calls)
+    assert sorted((start, len(lengths)) for start, lengths, _ in calls) == blocks
     assert sorted(two_cpus) == sorted(one_cpu) == sorted(task for task, _ in model.config.tasks())
     for task, ids in one_cpu.items():
-        expected = np.concatenate([predict(logits[task]) for logits in one_by_one])
-        assert len(set(expected)) > 1  # a half joined out of order would show
+        expected = np.concatenate([predict(logits[task]) for logits in serial])
+        assert len(set(expected)) > 1  # a block joined out of order would show
         np.testing.assert_array_equal(ids, expected)
         np.testing.assert_array_equal(two_cpus[task], expected)
+        np.testing.assert_array_equal(expected, np.concatenate([predict(logits[task]) for logits in one_by_one]))
 
 
-def test_the_helpers_half_records_no_graph(monkeypatch):
+def test_the_helpers_blocks_record_no_graph(monkeypatch):
     model, vocab, texts = _long_text_setup("mtl")
     _usable_cpus(monkeypatch, 2)
     outputs = []
@@ -532,14 +542,14 @@ def test_the_helpers_half_records_no_graph(monkeypatch):
         assert all(t._parents == () and not t.requires_grad for t in logits)
 
 
-class HalfError(Exception):
+class BlockError(Exception):
     pass
 
 
-def test_an_error_in_the_helpers_half_reaches_the_caller_as_itself(monkeypatch):
+def test_an_error_in_a_helper_block_reaches_the_caller_as_itself(monkeypatch):
     model, vocab, texts = _long_text_setup("country")
     _usable_cpus(monkeypatch, 2)
-    error = HalfError("second half")
+    error = BlockError("helper block")
     forward = model.forward
 
     def failing(seqs, *args, **kwargs):
@@ -548,17 +558,18 @@ def test_an_error_in_the_helpers_half_reaches_the_caller_as_itself(monkeypatch):
         return forward(seqs, *args, **kwargs)
 
     monkeypatch.setattr(model, "forward", failing)
-    with pytest.raises(HalfError) as info:
+    with pytest.raises(BlockError) as info:
         predict_texts(model, vocab, texts)
     assert info.value is error
     monkeypatch.setattr(model, "forward", forward)
     assert predict_texts(model, vocab, texts)["country"].shape == (len(texts),)  # a later call runs
 
 
-def test_an_error_in_the_callers_half_reaches_it_as_itself_and_stops_the_helper(monkeypatch):
-    model, vocab, texts = _long_text_setup("country")  # three split blocks: three second halves
+def test_an_error_in_a_caller_block_reaches_it_as_itself_and_stops_the_helper(monkeypatch):
+    model, vocab, texts = _long_text_setup("country")
+    texts = texts * 3  # eight blocks: four for the helper
     _usable_cpus(monkeypatch, 2)
-    error = HalfError("first half")
+    error = BlockError("caller block")
     events = []
     helper_began = threading.Event()
     forward = model.forward
@@ -570,12 +581,12 @@ def test_an_error_in_the_callers_half_reaches_it_as_itself_and_stops_the_helper(
             raise error
         events.append("helper begins")
         helper_began.set()
-        time.sleep(0.05)  # the caller raises during this half
+        time.sleep(0.05)  # the caller raises during this block
         return forward(seqs, *args, **kwargs)
 
     monkeypatch.setattr(model, "forward", failing)
     before = threading.enumerate()
-    with pytest.raises(HalfError) as info:
+    with pytest.raises(BlockError) as info:
         predict_texts(model, vocab, texts)
     assert info.value is error
     assert threading.enumerate() == before
@@ -621,15 +632,47 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch, source):
     before = threading.active_count()
     predict_texts(model, vocab, texts)
     assert set(counts) == {before} and threading.active_count() == before
-    assert all(on_caller for *_, on_caller in calls)
+    assert {name for *_, name in calls} == {CALLER}
     one_cpu = sorted((start, lengths) for start, lengths, _ in calls)
     calls.clear()
     counts.clear()
     _usable_cpus(monkeypatch, 2)  # the same call on two CPUs runs a helper for the call alone
     predict_texts(model, vocab, texts)
     assert before + 1 in counts and threading.active_count() == before
-    assert sorted((start, lengths) for start, lengths, _ in calls) == one_cpu  # the same halves, in turn
-    assert len(one_cpu) == 2 * len(_blocks(calls))
+    assert sorted((start, lengths) for start, lengths, _ in calls) == one_cpu  # the same blocks, in turn
+    _assert_helper_ran_every_second_block(calls)
+
+
+@pytest.mark.parametrize("call", ["row-capped", "lone-block"])
+def test_row_capped_calls_and_a_lone_block_start_no_thread(monkeypatch, call):
+    # A helper's malloc arena would raise peak RSS where it buys little: a
+    # call whose blocks the row cap limits, and a call of one block, run on
+    # the caller alone, even on two CPUs.
+    if call == "row-capped":  # 144 texts of at most 10 tokens, 8 to a block
+        model, vocab, texts = _mixed_length_setup()
+        texts, batch_size = texts * 4, 8
+    else:  # lone-block: 16 texts of up to 64 tokens, one block that the budget limits
+        model, vocab, texts = _long_text_setup("mtl")
+        texts, batch_size = texts[:16], 64
+    _usable_cpus(monkeypatch, 2)
+    calls = _record_calls(monkeypatch, model)
+    started = []
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    predict_texts(model, vocab, texts, batch_size)
+    blocks = _blocks(calls)
+    widest = max(map(max, blocks))
+    if call == "row-capped":
+        assert len(blocks) == 18 and batch_size * widest <= INFERENCE_TOKENS
+    else:
+        assert len(blocks) == 1 and batch_size * widest > INFERENCE_TOKENS
+    assert started == []
+    assert {name for *_, name in calls} == {CALLER}
 
 
 def test_concurrent_callers_each_run_their_own_helper(monkeypatch):
