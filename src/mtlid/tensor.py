@@ -2,11 +2,12 @@
 
 float32 is the working precision. Construct tensors from float64 arrays
 (or pass dtype=np.float64) for verification runs such as finite-difference
-gradient checks, which are unreliable in 32-bit. backward() writes
-``Tensor.grad`` only on leaves, the tensors no operation produced (such as
-parameters); interior nodes keep ``grad is None``. Leaf gradients
-accumulate across backward() calls until explicitly reset. Inside
-``no_grad()`` operations record no graph.
+gradient checks, which are unreliable in 32-bit. Every operation records
+its graph unless ``no_grad()`` is active; no tensor carries a switch of
+its own. backward() writes ``Tensor.grad`` on every leaf it reaches, the
+tensors no operation produced (such as parameters); interior nodes keep
+``grad is None``. Leaf gradients accumulate across backward() calls until
+explicitly reset.
 
 The checks every configuration applies to its counts, seeds and rates
 live here too, at the bottom of the import graph, so Adam, the
@@ -45,9 +46,9 @@ class Tensor:
     backward() calls keep accumulating into a leaf's ``grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = np.asarray(arr, dtype=dtype)
@@ -55,7 +56,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
 
@@ -101,8 +101,6 @@ class Tensor:
                     node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
                 key = id(parent)
                 if key in local:
                     local[key] = local[key] + pg
@@ -110,7 +108,7 @@ class Tensor:
                     local[key] = pg
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -140,9 +138,11 @@ _new_tensor = Tensor.__new__
 def no_grad() -> Iterator[None]:
     """Within this block operations compute values but record no graph.
 
-    Outputs have no parents and do not require gradients, so nothing of
-    the forward pass is kept alive for a backward() that will not come.
-    The values are the same as with the graph on.
+    It is the one switch of graph recording: outside it every
+    operation's output keeps its parents and vjp. Inside it outputs have
+    no parents, so nothing of the forward pass is kept alive for a
+    backward() that will not come. The values are the same as with the
+    graph on.
     """
     token = _GRAD_ENABLED.set(False)
     try:
@@ -157,25 +157,19 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     Every primitive computes data as a float array of its inputs' dtype,
     so the node takes it as is. Only a 0-d result, which numpy ufuncs
     return as a scalar, is wrapped back into an array. The node records
-    its parents only when one of them requires a gradient and no_grad()
-    is not active.
+    its parents and vjp unless no_grad() is active.
     """
     if type(data) is not np.ndarray:
         data = np.asarray(data)
     out = _new_tensor(Tensor)
     out.data = data
     out.grad = None
-    for p in parents:
-        if p.requires_grad:
-            if _GRAD_ENABLED.get():
-                out.requires_grad = True
-                out._parents = parents
-                out._vjp = vjp
-                return out
-            break
-    out.requires_grad = False
-    out._parents = ()
-    out._vjp = None
+    if _GRAD_ENABLED.get():
+        out._parents = parents
+        out._vjp = vjp
+    else:
+        out._parents = ()
+        out._vjp = None
     return out
 
 
@@ -210,9 +204,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def vjp(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
-        return ga, gb
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _make(data, (a, b), vjp)
 
@@ -243,11 +235,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return _make(data, (a, b), vjp)
@@ -257,8 +246,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node, for x [..., k], w [k, n] and b [n].
 
     The leading axes of x fold into the rows of one 2-D product, and the
-    bias is added to it in place. The backward computes only the
-    gradients of operands that need one.
+    bias is added to it in place.
     """
     wd, x_shape, w_shape = w.data, x.data.shape, w.data.shape
     if len(w_shape) != 2 or not x_shape or x_shape[-1] != w_shape[0] or b.data.shape != w_shape[1:]:
@@ -270,10 +258,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ wd.T).reshape(x_shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
-        gb = g2.sum(axis=0) if b.requires_grad else None
-        return gx, gw, gb
+        return (g2 @ wd.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
 
     return _make(y.reshape(*x_shape[:-1], n), (x, w, b), vjp)
 
@@ -308,7 +293,7 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     # With no backward to come, y takes t's buffer: inference holds one
     # temporary of x's size, not two.
-    y = t + 1.0 if a.requires_grad and _GRAD_ENABLED.get() else np.add(t, 1.0, out=t)
+    y = t + 1.0 if _GRAD_ENABLED.get() else np.add(t, 1.0, out=t)
     y *= x
     y *= 0.5
 
@@ -451,18 +436,11 @@ def task_scores(h: Tensor, mask: np.ndarray, w_a: Tensor, w_alpha: Tensor) -> Te
     c = t * m
 
     def vjp(g):
-        gh = gwa = None
-        gwalpha = c.T @ g if w_alpha.requires_grad else None
-        if h.requires_grad or w_a.requires_grad:
-            # through the mask and tanh: g w_alpha^T * m * (1 - t^2)
-            gt = g @ walpha.T
-            gt *= m
-            gt *= 1.0 - t * t
-            if h.requires_grad:
-                gh = gt[:, :, None] * wa[:, 0]
-            if w_a.requires_grad:
-                gwa = hd.reshape(-1, d).T @ gt.reshape(-1, 1)
-        return gh, gwa, gwalpha
+        # through the mask and tanh: g w_alpha^T * m * (1 - t^2)
+        gt = g @ walpha.T
+        gt *= m
+        gt *= 1.0 - t * t
+        return gt[:, :, None] * wa[:, 0], hd.reshape(-1, d).T @ gt.reshape(-1, 1), c.T @ g
 
     return _make(c @ walpha, (h, w_a, w_alpha), vjp)
 
@@ -480,9 +458,7 @@ def weighted_sum(alpha: Tensor, h: Tensor) -> Tensor:
     b, l, d = hd.shape
 
     def vjp(g):
-        ga = np.matmul(hd, g[:, :, None]).reshape(b, l) if alpha.requires_grad else None
-        gh = ad[:, :, None] * g[:, None, :] if h.requires_grad else None
-        return ga, gh
+        return np.matmul(hd, g[:, :, None]).reshape(b, l), ad[:, :, None] * g[:, None, :]
 
     return _make(np.matmul(ad.reshape(b, 1, l), hd).reshape(b, d), (alpha, h), vjp)
 
@@ -777,7 +753,7 @@ def parameter_views(values: np.ndarray, specs: Sequence[ParamSpec]) -> dict[str,
     if values.dtype not in (np.float32, np.float64) or values.shape != (bounds[-1],):
         raise ValueError(f"parameters need a ({bounds[-1]},) float array, got {values.dtype} {values.shape}")
     return {
-        name: Tensor(values[lo:hi].reshape(shape), requires_grad=True)
+        name: Tensor(values[lo:hi].reshape(shape))
         for (name, shape, _), lo, hi in zip(specs, bounds, bounds[1:])
     }
 
@@ -802,7 +778,7 @@ class Adam:
     updates values in place.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float = 1e-3):
+    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float):
         require_real("learning_rate", learning_rate)
         if learning_rate <= 0.0:
             raise ValueError("learning_rate must be finite and positive")

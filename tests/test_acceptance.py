@@ -321,9 +321,13 @@ def test_criterion_8_preprocessing_fidelity():
             cleaned = clean_text(text)
             assert clean_text(cleaned) == cleaned
             assert cleaned == "".join(ch for ch in text if ch not in ARABIC_DIACRITICS)
-        # with mentions present, cleaning still reaches a fixed point in one pass
-        for _ in range(500):
-            words = ["@user", "مرحباً", "abc", "@x9"]
-            text = " ".join(words[int(i)] for i in rng.integers(0, 4, size=int(rng.integers(0, 8))))
+        # with mentions present, cleaning still reaches a fixed point in one
+        # pass, also where an @ run meets another @ or a diacritic
+        words = ["@user", "مرحباً", "abc", "@x9", "@@foo", "@\u064bfoo", "a_a\u0660@\u0670\u0660_"]
+        texts = words + [
+            " ".join(words[int(i)] for i in rng.integers(0, len(words), size=int(rng.integers(0, 8))))
+            for _ in range(500)
+        ]
+        for text in texts:
             cleaned = clean_text(text)
-            assert clean_text(cleaned) == cleaned
+            assert clean_text(cleaned) == cleaned, repr(text)

@@ -102,7 +102,6 @@ def test_gradients_match_finite_differences():
     w_a, w_alpha = make_params(d=3, l_max=5, seed=4)
     rng = np.random.default_rng(5)
     h = Tensor(rng.normal(size=(2, 5, 3)), dtype=np.float64)
-    h.requires_grad = True
     mask = np.array([[True, True, True, False, False], [True, True, True, True, True]])
     weight = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
 

@@ -34,6 +34,7 @@ from mtlid.tensor import (
     Adam,
     ShapeError,
     Tensor,
+    _toposort,
     attention,
     concat_last,
     dropout,
@@ -215,11 +216,11 @@ def test_packed_qkv_matches_three_concatenated_weights(mode, dtype, monkeypatch)
     for i in range(enc.n_layers):
         layer = f"encoder.layer{i}"
         parts = [
-            Tensor(trunc_normal((8, 8), name_seeded_rng(11, f"{layer}.attn.{w}"), dtype), requires_grad=True)
+            Tensor(trunc_normal((8, 8), name_seeded_rng(11, f"{layer}.attn.{w}"), dtype))
             for w in ("wq", "wk", "wv")
         ]
         rng = np.random.default_rng(i)
-        parts += [Tensor(rng.normal(scale=0.1, size=8).astype(dtype), requires_grad=True) for _ in range(3)]
+        parts += [Tensor(rng.normal(scale=0.1, size=8).astype(dtype)) for _ in range(3)]
         qkv[layer] = parts
         model.params[f"{layer}.attn.wqkv"].data[...] = np.concatenate([t.data for t in parts[:3]], axis=-1)
         model.params[f"{layer}.attn.bqkv"].data[...] = np.concatenate([t.data for t in parts[3:]])
@@ -276,6 +277,25 @@ def test_batch_one_request_graph_size(mode, nodes):
     assert _interior_nodes(model.forward(seq)) == nodes
     with no_grad():
         assert _interior_nodes(model.forward(seq)) == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_graph_leaf_is_a_parameter(mode):
+    """A training step's graph (dropout on, the loss included) and a batch-1
+    request's graph reach no leaf but a parameter: every operand of every
+    node the model records needs its gradient."""
+    enc = EncoderConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16, l_max=8, vocab_size=12, dropout_rate=0.25)
+    model = MtlModel(ModelConfig(encoder=enc, n_countries=3, n_provinces=4, mode=mode), global_seed=9)
+    rng = np.random.default_rng(9)
+    seqs = [make_seq(rng, 8, true_length=n) for n in (8, 3, 5)]
+    logits_c, logits_p = model.forward(seqs, train_mode=True, rng=rng)
+    total, _ = compute_loss(logits_c, logits_p, np.array([0, 1, 2]), np.array([3, 1, 0]), model.config)
+    params = {id(p) for p in model.params.values()}
+    step_leaves = {id(node) for node in _toposort(total) if not node._parents}
+    assert step_leaves == params
+    for logits in model.forward(seqs[1:2]):
+        if logits is not None:
+            assert {id(node) for node in _toposort(logits) if not node._parents} <= params
 
 
 # ---------------------------------------------------------------------------

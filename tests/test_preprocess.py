@@ -18,6 +18,8 @@ from mtlid.preprocess import (
 )
 
 ARABIC_LETTERS = [chr(c) for c in range(0x0621, 0x064B)]
+# texts that a mention-first cleaning leaves one pass short of its fixed point
+MENTION_COUNTEREXAMPLES = ["@@foo", "@\u064bfoo", "a_a\u0660@\u0670\u0660_"]
 
 
 def random_arabic_text(rng: np.random.Generator, with_mentions: bool = False) -> str:
@@ -46,8 +48,14 @@ def test_clean_multiple_mentions_and_marks():
 
 
 def test_clean_order_mentions_before_diacritics():
-    # the mark ends the mention match; the diacritics pass then removes it
+    # the mark is deleted first, so the mention run it ends covers "@ab" whole
     assert clean_text("@abً") == "USER"
+
+
+def test_clean_mention_run_takes_every_at_and_the_marks_inside():
+    assert clean_text("@@foo") == "USER"
+    assert clean_text("@\u064bfoo") == "USER"
+    assert clean_text("a_a\u0660@\u0670\u0660_") == "a_a\u0660USER"
 
 
 def test_clean_bare_at_sign_kept():
@@ -56,10 +64,18 @@ def test_clean_bare_at_sign_kept():
 
 def test_clean_idempotent_on_random_strings():
     rng = np.random.default_rng(17)
-    for _ in range(2000):
-        text = random_arabic_text(rng, with_mentions=True)
+    texts = MENTION_COUNTEREXAMPLES + [random_arabic_text(rng, with_mentions=True) for _ in range(2000)]
+    for text in texts:
         once = clean_text(text)
-        assert clean_text(once) == once
+        assert clean_text(once) == once, repr(text)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(text=st.text(alphabet=["@", "a", "_", "1", " ", "\u064b", "\u0640", "\u0670", "\u0610", "\u0628", "\u0660"]))
+def test_clean_idempotent_where_mentions_meet_marks(text):
+    once = clean_text(text)
+    assert clean_text(once) == once
+    assert not set(once) & ARABIC_DIACRITICS
 
 
 def test_clean_removes_exactly_the_declared_set():

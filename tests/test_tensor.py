@@ -44,8 +44,8 @@ from mtlid.tensor import (
 )
 
 
-def t64(data, requires_grad=False):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+def t64(data):
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,8 @@ def test_concat_empty_identity():
 
 
 def test_concat_backward_splits_ones():
-    a = Tensor(np.zeros((2, 3)), requires_grad=True)
-    b = Tensor(np.zeros((2, 2)), requires_grad=True)
+    a = Tensor(np.zeros((2, 3)))
+    b = Tensor(np.zeros((2, 2)))
     sum_all(concat_last(a, b)).backward()
     np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
@@ -298,26 +298,25 @@ def test_cross_entropy_out_of_range_label():
 
 
 def test_backward_linear_gives_ones():
-    w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4), requires_grad=True)
+    w = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
     sum_all(w).backward()
     np.testing.assert_array_equal(w.grad, np.ones((3, 4)))
 
 
 def test_backward_quadratic_gives_2w():
     w = t64(np.array([[1.0, -2.0], [0.5, 3.0]]))
-    w.requires_grad = True
     sum_all(mul(w, w)).backward()
     np.testing.assert_allclose(w.grad, 2 * w.data, atol=1e-12)
 
 
 def test_backward_rejects_non_scalar():
-    w = Tensor(np.zeros((2, 2)), requires_grad=True)
+    w = Tensor(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="scalar"):
         add(w, w).backward()
 
 
 def test_backward_accumulates_without_reset():
-    w = Tensor(np.ones(3), requires_grad=True)
+    w = Tensor(np.ones(3))
     loss = sum_all(w)
     loss.backward()
     loss.backward()
@@ -325,21 +324,27 @@ def test_backward_accumulates_without_reset():
 
 
 def test_backward_writes_grad_only_on_leaves():
-    w = t64(np.ones((2, 3)), requires_grad=True)
+    w = t64(np.ones((2, 3)))
     x = t64(np.arange(6.0).reshape(3, 2))
-    hidden = tanh(matmul(w, x))
-    loss = sum_all(mul(hidden, hidden))
+
+    def build():
+        hidden = tanh(matmul(w, x))
+        return hidden, sum_all(mul(hidden, hidden))
+
+    hidden, loss = build()
     loss.backward()
     assert w.grad is not None and w.grad.shape == w.shape
     for node in (hidden, loss):
         assert node.grad is None
-    assert x.grad is None  # a leaf that needs no gradient gets none
+    # an input is a leaf like any other: it gets a correct gradient too
+    err = max_grad_error(lambda: build()[1].item(), x, np.random.default_rng(9), 6, 1e-5, atol=1e-10)
+    assert err < _RTOL, f"gradient mismatch: {err}"
 
 
 def test_leaves_fed_by_one_add_own_their_gradients():
     # add's backward hands the same buffer to both operands
-    a = t64(np.ones(3), requires_grad=True)
-    b = t64(np.ones(3), requires_grad=True)
+    a = t64(np.ones(3))
+    b = t64(np.ones(3))
     loss = sum_all(add(a, b))
     loss.backward()
     a.grad += 5.0
@@ -350,15 +355,16 @@ def test_leaves_fed_by_one_add_own_their_gradients():
 
 
 def test_no_grad_records_no_graph():
-    w = t64(np.ones((2, 2)), requires_grad=True)
+    w = t64(np.ones((2, 2)))
     x = t64(np.arange(4.0).reshape(2, 2))
     graph = tanh(matmul(x, w))
     with no_grad():
         free = tanh(matmul(x, w))
-    assert free._parents == () and not free.requires_grad
+    assert free._parents == () and free._vjp is None
     assert np.array_equal(free.data, graph.data)
     # the graph records again once the block exits
-    assert matmul(x, w).requires_grad
+    again = matmul(x, w)
+    assert again._parents == (x, w) and again._vjp is not None
 
 
 def test_graph_evaluation_deterministic():
@@ -399,7 +405,7 @@ def test_adam_two_runs_bitwise_identical():
         rng = np.random.default_rng(5)
         values = np.ones(9, dtype=np.float32)
         grads = np.zeros_like(values)
-        p = Tensor(values.reshape(3, 3), requires_grad=True)
+        p = Tensor(values.reshape(3, 3))
         p.grad = grads.reshape(3, 3)
         opt = Adam(values, grads, learning_rate=0.01)
         for _ in range(10):
@@ -456,7 +462,7 @@ def test_flat_adam_matches_per_parameter_update_bitwise(dtype):
 def test_adam_rejects_mixed_dtypes():
     for grads in (np.ones(2, dtype=np.float64), np.ones(3, dtype=np.float32)):
         with pytest.raises(ValueError, match="do not match values float32"):
-            Adam(np.ones(2, dtype=np.float32), grads)
+            Adam(np.ones(2, dtype=np.float32), grads, learning_rate=0.1)
 
 
 def test_adam_non_finite_gradient_changes_nothing():
@@ -489,8 +495,6 @@ def _check(build, n_params, seed, n_samples=25, h=1e-5):
     """build(params) -> scalar Tensor loss; FD-check each parameter."""
     rng = np.random.default_rng(seed)
     params = [t64(rng.normal(size=shape)) for shape in n_params]
-    for p in params:
-        p.requires_grad = True
     build(params).backward()
     check_rng = np.random.default_rng(seed + 1)
     for p in params:
@@ -565,7 +569,7 @@ def test_grad_embedding():
 
 def test_embedding_gradient_matches_indexed_add_at_bitwise():
     rng = np.random.default_rng(32)
-    table = Tensor(rng.normal(size=(7, 5)).astype(np.float32), requires_grad=True)
+    table = Tensor(rng.normal(size=(7, 5)).astype(np.float32))
     ids = rng.integers(0, 7, size=(4, 9))  # every row repeats
     g = rng.normal(size=(4, 9, 5)).astype(np.float32)
     want = np.zeros_like(table.data)
@@ -585,21 +589,6 @@ def test_grad_linear():
     # 3-D and 2-D inputs fold into one 2-D product
     for shapes in ([(2, 3, 4), (4, 5), (5,)], [(3, 4), (4, 2), (2,)]):
         _check(lambda ps: _weighted_sum(linear(ps[0], ps[1], ps[2])), shapes, 18)
-
-
-def test_grad_linear_input_without_gradient():
-    rng = np.random.default_rng(19)
-    x = t64(rng.normal(size=(2, 3, 4)))
-    w = t64(rng.normal(size=(4, 5)), requires_grad=True)
-    b = t64(rng.normal(size=5), requires_grad=True)
-    out = linear(x, w, b)
-    assert out._vjp(np.ones(out.shape))[0] is None
-    _weighted_sum(out).backward()
-    assert x.grad is None
-    check_rng = np.random.default_rng(20)
-    for p in (w, b):
-        err = max_grad_error(lambda: _weighted_sum(linear(x, w, b)).item(), p, check_rng, 25, 1e-5, atol=1e-10)
-        assert err < _RTOL, f"gradient mismatch: {err}"
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -624,7 +613,7 @@ def test_grad_crop():
 
 
 def test_crop_corner_and_zero_padded_gradient():
-    a = t64(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    a = t64(np.arange(12.0).reshape(3, 4))
     out = crop(a, (2, 2))
     np.testing.assert_array_equal(out.data, [[0.0, 1.0], [4.0, 5.0]])
     sum_all(out).backward()
@@ -639,7 +628,6 @@ def test_crop_corner_and_zero_padded_gradient():
 
 def test_dropout_grad_matches_mask():
     x = t64(np.ones((4, 4)))
-    x.requires_grad = True
     out = dropout(x, 0.5, np.random.default_rng(0))
     sum_all(out).backward()
     kept = out.data != 0.0
@@ -656,7 +644,7 @@ def test_dropout_matches_scaled_mask_formula_bitwise(dtype):
     # at 0.15, 1/(1-rate) rounds differently in float64 and in float32
     for rate in (0.1, 0.15, 0.3, 0.5):
         mine, ref = np.random.default_rng(25), np.random.default_rng(25)
-        out = dropout(Tensor(x, requires_grad=True), rate, mine)
+        out = dropout(Tensor(x), rate, mine)
         m = (ref.random(x.shape) >= rate).astype(dtype) / (1.0 - rate)
         assert out.data.dtype == dtype
         assert np.array_equal(out.data, x * m)
@@ -674,7 +662,7 @@ def test_dropout_deterministic_under_seeded_rng():
 def test_transpose_inverse_matches_argsort_for_every_permutation():
     x = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
     for axes in itertools.permutations(range(4)):
-        a = t64(x, requires_grad=True)
+        a = t64(x)
         out = transpose(a, axes)
         assert np.array_equal(out.data, np.transpose(x, axes))
         g = np.arange(out.data.size, dtype=np.float64).reshape(out.shape)
@@ -690,12 +678,11 @@ def test_gelu_matches_textbook_expression_bitwise():
         c0, c1 = math.sqrt(2.0 / math.pi), 0.044715
         t = np.tanh(c0 * (x + c1 * x * x * x))
         d_inner = c0 * (1.0 + 3.0 * c1 * x * x)
-        out = gelu(Tensor(x, requires_grad=True))
+        out = gelu(Tensor(x))
         assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
         assert np.array_equal(out._vjp(g)[0], g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
         with no_grad():  # the forward then reuses its one temporary for the output
-            assert np.array_equal(gelu(Tensor(x, requires_grad=True)).data, out.data)
-        assert np.array_equal(gelu(Tensor(x)).data, out.data)
+            assert np.array_equal(gelu(Tensor(x)).data, out.data)
 
 
 def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
@@ -722,10 +709,10 @@ def test_layer_norm_matches_mean_based_reference_bitwise(dtype, shape):
     g = rng.normal(size=shape).astype(dtype)
     residual = rng.normal(size=shape).astype(dtype)
     out = layer_norm(
-        Tensor(x, requires_grad=True),
-        Tensor(residual, requires_grad=True),
-        Tensor(gain, requires_grad=True),
-        Tensor(bias, requires_grad=True),
+        Tensor(x),
+        Tensor(residual),
+        Tensor(gain),
+        Tensor(bias),
     )
     y, gx, g_gain, g_bias = _layer_norm_reference(x + residual, gain, bias, g)
     assert out.data.dtype == dtype
@@ -774,8 +761,8 @@ def _assert_parity(pairs, dtype):
 def test_linear_matches_matmul_add(dtype, x_shape):
     rng = np.random.default_rng(27)
     arrays = [rng.normal(size=s).astype(dtype) for s in (x_shape, (8, 6), (6,))]
-    fused = [Tensor(a, requires_grad=True) for a in arrays]
-    ref = [Tensor(a, requires_grad=True) for a in arrays]
+    fused = [Tensor(a) for a in arrays]
+    ref = [Tensor(a) for a in arrays]
     out = linear(*fused)
     ref_out = add(matmul(ref[0], ref[1]), ref[2])
     _weighted_sum(out).backward()
@@ -791,8 +778,8 @@ _PADDED = np.array([[True] * 6, [True] * 4 + [False] * 2, [True] + [False] * 5])
 def test_attention_matches_composed_reference(dtype, n_heads):
     rng = np.random.default_rng(29)
     q, k, v = (rng.normal(size=(3, 6, 8)).astype(dtype) for _ in range(3))
-    qkv = Tensor(np.concatenate([q, k, v], axis=-1), requires_grad=True)
-    ref = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    qkv = Tensor(np.concatenate([q, k, v], axis=-1))
+    ref = [Tensor(a) for a in (q, k, v)]
     out = attention(qkv, _PADDED, n_heads)
     ref_out, probs = _attention_reference(*ref, _PADDED, n_heads)
     # the reference's rows are distributions over the real keys
@@ -889,8 +876,8 @@ def test_task_head_primitives_match_composed_reference(dtype, b, l, d, l_max, le
     rng = np.random.default_rng(53)
     mask = _head_mask(b, l, lengths)
     arrays = [rng.normal(scale=0.5, size=s).astype(dtype) for s in ((b, l, d), (d, 1), (l_max, l_max))]
-    fused = [Tensor(a, requires_grad=True) for a in arrays]
-    ref = [Tensor(a, requires_grad=True) for a in arrays]
+    fused = [Tensor(a) for a in arrays]
+    ref = [Tensor(a) for a in arrays]
     scores = task_scores(fused[0], mask, fused[1], crop(fused[2], (l, l)))
     ref_scores = _task_scores_reference(ref[0], mask, ref[1], crop(ref[2], (l, l)))
     np.testing.assert_array_equal(scores.data, ref_scores.data, strict=True)
@@ -930,7 +917,7 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
     rng = np.random.default_rng(41)
 
     def t(*shape):
-        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        return Tensor(rng.normal(size=shape).astype(dtype))
 
     mask = np.array([[True, False, True], [True, True, False]])
     outs = {
@@ -964,10 +951,10 @@ def test_every_primitive_returns_an_array_of_its_input_dtype(dtype):
     for name, out in outs.items():
         assert type(out.data) is np.ndarray, name
         assert out.data.dtype == dtype, name
-        assert out.requires_grad and out.grad is None, name
+        assert out._parents and out._vjp is not None and out.grad is None, name
     with no_grad():
         out = add(t(2), t(2))
-    assert type(out.data) is np.ndarray and not out.requires_grad and out._parents == ()
+    assert type(out.data) is np.ndarray and out._vjp is None and out._parents == ()
 
 
 # ---------------------------------------------------------------------------

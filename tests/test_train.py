@@ -539,7 +539,7 @@ def test_the_helpers_blocks_record_no_graph(monkeypatch):
     predict_texts(model, vocab, texts)
     assert {on_caller for on_caller, _ in outputs} == {True, False}
     for _, logits in outputs:
-        assert all(t._parents == () and not t.requires_grad for t in logits)
+        assert all(t._parents == () and t._vjp is None for t in logits)
 
 
 class BlockError(Exception):
