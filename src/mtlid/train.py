@@ -17,16 +17,19 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset, write_file
+from .encoder import dropout_uniforms
 from .model import MtlModel, compute_loss, param_specs, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import (
     Adam,
     NonFiniteGradientError,
+    Tensor,
     no_grad,
     parameter_views,
     require_count,
     require_real,
     require_seed,
+    scale,
 )
 
 
@@ -47,6 +50,20 @@ from .tensor import (
 # texts, so calls whose blocks batch_size limits stay on the caller.
 INFERENCE_TOKENS = 1024
 INFERENCE_BATCH = 64  # texts per block unless the caller says otherwise
+
+# Padded positions (rows x longest true_length) from which a training step
+# of two or more rows runs as two row halves on two threads (see train).
+# Swept in-process: one-epoch train over 256 texts at the default encoder
+# in country mode, one BLAS thread, a 2-core host, whole against split,
+# min-of-5 to min-of-11 rounds, 2 to 5 sweeps a width. Split over whole
+# ran 0.51x at 16 x 8 (128 positions), 0.64x at 16 x 13 (208), 0.72x at
+# 256, 0.80-1.01x at 320, 0.80-0.98x at 384, 1.02-1.10x at 448,
+# 0.97-1.22x at 512 (1.18-1.22x in four of five sweeps, also at 32 x 16
+# and 8 x 64), 1.19-1.28x at 640, 1.26-1.30x at 768 and 1.25-1.36x at
+# 1,024 (16 x 64 and 32 x 32). Below 512 the halves' numpy calls are too
+# short for two threads to gain on the interpreter lock and the thread's
+# start.
+TRAIN_SPLIT_TOKENS = 512
 
 
 def _usable_cpus() -> int:
@@ -256,6 +273,120 @@ def evaluate(
     return _scores(model, dataset, predict_texts(model, vocab, [ex.text for ex in dataset.examples], batch_size))
 
 
+class _RowDraws:
+    """The generator one half of a split step's forward draws from: each
+    random(shape) returns the half's rows of the batch's next dropout
+    uniforms, cut to the half's own width."""
+
+    def __init__(self, uniforms: list[np.ndarray], rows: slice):
+        self._next = iter(uniforms)
+        self._rows = rows
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        return next(self._next)[self._rows, : shape[1]]
+
+
+class _Tower:
+    """A model that train runs rows on, its parameters' grads viewing its
+    own gradient array, and the graph of the last rows it ran."""
+
+    def __init__(self, model: MtlModel, grads: np.ndarray):
+        self.model, self.grads = model, grads
+        self.graph: Tensor | None = None
+        for name, view in parameter_views(grads, param_specs(model.config)).items():
+            model.params[name].grad = view.data  # backward() accumulates into it
+
+    def run(
+        self,
+        batch: Sequence[TokenSequence],
+        labels_c: np.ndarray,
+        labels_p: np.ndarray,
+        rng: np.random.Generator | _RowDraws,
+        share: float,
+    ) -> float:
+        """Forward and backward of a batch's rows into grads; returns their loss.
+
+        The loss is scaled by share, the rows' part of the whole batch,
+        before the backward, and a loss that is not finite gets no
+        backward. The last rows' graph is freed only once these rows' loss
+        is computed: freed before the forward, it let glibc trim the heap
+        and fault it back in at every step (-13% peak RSS, -17% to -30%
+        train_ex_per_s).
+        """
+        logits_c, logits_p = self.model.forward(batch, train_mode=True, rng=rng)
+        total, report = compute_loss(logits_c, logits_p, labels_c, labels_p, self.model.config)
+        self.graph = total
+        if math.isfinite(report.total):
+            (total if share == 1.0 else scale(total, share)).backward()
+        return report.total
+
+    def release(self) -> None:
+        """Leave every parameter's grad None."""
+        for p in self.model.params.values():
+            p.grad = None
+
+
+def _split_step(
+    tower: _Tower,
+    twin: _Tower,
+    batch: Sequence[TokenSequence],
+    labels_c: np.ndarray,
+    labels_p: np.ndarray,
+    rng: np.random.Generator,
+) -> float:
+    """A batch's rows as two halves, the first run on tower and the second
+    on twin; returns the batch's loss.
+
+    The batch's dropout uniforms are drawn from rng first, as one
+    forward over the whole batch draws them, and each half takes its rows.
+    Where the process may use two CPUs, a helper thread runs the second
+    half while the caller runs the first, and is joined before this
+    returns or raises; otherwise the caller runs both in turn. An error in
+    either half is raised as itself.
+    """
+    rows = len(batch)
+    mid = (rows + 1) // 2
+    width = max(seq.true_length for seq in batch)
+    uniforms = dropout_uniforms(tower.model.config.encoder, rng, rows, width)
+    halves = [(tower, slice(0, mid)), (twin, slice(mid, rows))]
+    losses = [math.nan, math.nan]
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        half, part = halves[i]
+        share = (part.stop - part.start) / rows
+        losses[i] = half.run(batch[part], labels_c[part], labels_p[part], _RowDraws(uniforms, part), share)
+        # Unlike a whole step's, a half's graph is freed once its backward
+        # is done. Kept to the next step, split steps ran about 10% faster
+        # on the benchmark's long texts, but peak RSS stayed at the whole
+        # steps' level and once read 10% above it; freed, it is 12% lower.
+        half.graph = None
+
+    def run_second() -> None:
+        try:
+            # numpy's error state does not carry into a new thread
+            with np.errstate(over="ignore", invalid="ignore"):
+                run(1)
+        except BaseException as exc:  # the caller re-raises it
+            errors.append(exc)
+
+    helper = None
+    if _usable_cpus() > 1:
+        # daemon: an interrupted join does not hold up the process's exit
+        helper = threading.Thread(target=run_second, name="mtlid-train", daemon=True)
+        helper.start()
+    try:
+        run(0)
+        if helper is None:
+            run(1)
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return (losses[0] * mid + losses[1] * (rows - mid)) / rows
+
+
 def train(
     model: MtlModel,
     dataset_train: Dataset,
@@ -271,6 +402,20 @@ def train(
     Raises DivergenceError, before any update from that step, at the first
     step whose loss or whose gradient is not finite. Each parameter's grad
     views one gradient array for the length of the call, and is None after.
+
+    A step whose batch holds two or more rows and at least TRAIN_SPLIT_TOKENS
+    padded positions (rows times longest true_length) runs as two row
+    halves, each loss scaled by its share of the rows. The caller runs the
+    first on model; the second runs on a twin, a second MtlModel over the
+    same values whose grads view a second array, on a helper thread
+    (mtlid-train) where the process may use two CPUs, else after the first
+    on the caller. The caller draws the batch's dropout uniforms before
+    either half starts, in the order one forward over the batch draws
+    them, so the generator's stream is that of an unsplit step. After both
+    halves the twin's gradient is added into the model's, and Adam steps
+    once. The split depends only on the batch's shape, so the trained
+    bytes do not depend on the CPU count; they differ from an unsplit
+    step's only in float summation order. Every other step runs whole.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -293,8 +438,8 @@ def train(
     best_epoch = -1
     best_snapshot: np.ndarray | None = None
     n = len(seqs)
-    for name, view in parameter_views(grads, param_specs(model.config)).items():
-        model.params[name].grad = view.data  # backward() accumulates into it
+    tower = _Tower(model, grads)
+    twin: _Tower | None = None  # runs the second half of each split step, from the first on
     try:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
@@ -305,19 +450,25 @@ def train(
                 for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
                     idx = order[start : start + cfg.batch_size]
                     batch = [seqs[i] for i in idx]
-                    logits_c, logits_p = model.forward(batch, train_mode=True, rng=rng)
-                    total, report = compute_loss(logits_c, logits_p, labels_c[idx], labels_p[idx], model.config)
-                    diverged = f"training diverged: loss {report.total} at epoch {epoch}, step {step}"
-                    if not math.isfinite(report.total):
-                        raise DivergenceError(diverged)
                     grads.fill(0)
-                    total.backward()
+                    if len(idx) > 1 and len(idx) * max(seq.true_length for seq in batch) >= TRAIN_SPLIT_TOKENS:
+                        if twin is None:
+                            twin = _Tower(MtlModel(model.config, values=model.values), np.zeros_like(grads))
+                        else:
+                            twin.grads.fill(0)
+                        loss = _split_step(tower, twin, batch, labels_c[idx], labels_p[idx], rng)
+                        grads += twin.grads
+                    else:
+                        loss = tower.run(batch, labels_c[idx], labels_p[idx], rng, 1.0)
+                    diverged = f"training diverged: loss {loss} at epoch {epoch}, step {step}"
+                    if not math.isfinite(loss):
+                        raise DivergenceError(diverged)
                     try:
                         adam.step()
                     except NonFiniteGradientError as exc:
                         name = next(name for name, p in model.params.items() if not np.isfinite(p.grad).all())
                         raise DivergenceError(f"{diverged} (non-finite gradient in {name!r})") from exc
-                    loss_sum += report.total * len(idx)
+                    loss_sum += loss * len(idx)
             record = EpochRecord(epoch=epoch, train_loss=loss_sum / n)
             if dataset_dev is not None:
                 record.dev = _scores(model, dataset_dev, _predict_sequences(model, dev_seqs, INFERENCE_BATCH))
@@ -328,8 +479,9 @@ def train(
                     best_snapshot = model.values.copy()
             history.append(record)
     finally:
-        for p in model.params.values():
-            p.grad = None
+        for t in (tower, twin):
+            if t is not None:
+                t.release()
     if best_snapshot is not None:
         model.values[...] = best_snapshot
     else:

@@ -86,6 +86,17 @@ def test_clean_removes_exactly_the_declared_set():
         assert clean_text(text) == expected
 
 
+TRANSLATE_TABLE = {ord(c): None for c in ARABIC_DIACRITICS}
+ASCII_AND_ARABIC = st.characters(codec="ascii") | st.characters(min_codepoint=0x0600, max_codepoint=0x06FF)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(text=st.text(alphabet=ASCII_AND_ARABIC))
+def test_clean_equals_the_translate_reference(text):
+    # the deletion table clean_text used before its character class
+    assert clean_text(text) == re.sub(r"@@*\w+", "USER", text.translate(TRANSLATE_TABLE))
+
+
 def test_clean_full_arabic_block_scan():
     # exactly U+064B..U+065F, U+0670 and U+0640 disappear; everything else stays
     for cp in range(0x0600, 0x0700):

@@ -738,6 +738,181 @@ def test_a_forked_child_starts_its_own_helper(monkeypatch):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
+# ---------------------------------------------------------------------------
+# split training steps
+# ---------------------------------------------------------------------------
+
+
+def _dropout_setup(mode="mtl", dtype=np.float32):
+    """tiny_setup's data and a model of dtype with dropout on, so each step draws."""
+    train_ds, dev_ds, vocab, config = tiny_setup(mode=mode)
+    config = dataclasses.replace(config, encoder=dataclasses.replace(config.encoder, dropout_rate=0.1))
+    return train_ds, dev_ds, vocab, MtlModel(config, global_seed=0, dtype=dtype)
+
+
+def _one_batch(train_ds, vocab, model, rows):
+    examples = train_ds.examples[:rows]
+    batch = [encode(clean_text(ex.text), vocab, model.config.encoder.l_max) for ex in examples]
+    labels_c, labels_p = (np.array([getattr(ex, task) for ex in examples]) for task in TASKS)
+    return batch, labels_c, labels_p
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_split_step_has_the_whole_steps_gradient_and_draws(monkeypatch, mode, cpus):
+    # 7 rows: halves of 4 and 3, so each loss share is unequal
+    train_ds, _, vocab, model = _dropout_setup(mode, dtype=np.float64)
+    _usable_cpus(monkeypatch, cpus)
+    batch, labels_c, labels_p = _one_batch(train_ds, vocab, model, 7)
+    whole_rng = np.random.default_rng(3)
+    tower = train_mod._Tower(model, np.zeros_like(model.values))
+    whole_loss = tower.run(batch, labels_c, labels_p, whole_rng, 1.0)
+    whole = tower.grads.copy()
+    tower.grads.fill(0)
+    twin = train_mod._Tower(MtlModel(model.config, values=model.values), np.zeros_like(model.values))
+    split_rng = np.random.default_rng(3)
+    split_loss = train_mod._split_step(tower, twin, batch, labels_c, labels_p, split_rng)
+    assert split_rng.bit_generator.state == whole_rng.bit_generator.state
+    assert abs(split_loss - whole_loss) <= 1e-12
+    assert np.abs(whole).max() > 0.1
+    np.testing.assert_allclose(tower.grads + twin.grads, whole, rtol=0, atol=1e-12)
+
+
+def test_split_training_in_float64_tracks_whole_training(monkeypatch):
+    # the twin's gradient reaches Adam: one half's gradient alone moves
+    # parameters by about the learning rate
+    _usable_cpus(monkeypatch, 2)
+    runs = []
+    for threshold in (1, 10**9):
+        monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", threshold)
+        train_ds, dev_ds, vocab, model = _dropout_setup(dtype=np.float64)
+        res = train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=3, batch_size=8, seed=0))
+        runs.append((model.values, [r.train_loss for r in res.history], res.best_epoch))
+    (split, split_losses, split_best), (whole, whole_losses, whole_best) = runs
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split_losses, whole_losses, rtol=0, atol=1e-12)
+    assert split_best == whole_best
+
+
+def _record_training_threads(monkeypatch):
+    """Wrap MtlModel.forward to record (model, thread) of each train-mode call."""
+    calls = []
+    forward = MtlModel.forward
+
+    def recorded(self, seqs, train_mode=False, rng=None):
+        if train_mode:
+            calls.append((self, threading.current_thread()))
+        return forward(self, seqs, train_mode, rng)
+
+    monkeypatch.setattr(MtlModel, "forward", recorded)
+    return calls
+
+
+def test_split_steps_train_the_same_values_on_one_cpu_and_on_two(monkeypatch):
+    # every step of two or more rows splits; 44 rows at batch 8 end in a batch of 4
+    monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
+    calls = _record_training_threads(monkeypatch)
+    values, histories = [], []
+    interval = sys.getswitchinterval()
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        train_ds, dev_ds, vocab, model = _dropout_setup()
+        sys.setswitchinterval(1e-6)  # the two halves' threads swap as often as they can
+        try:
+            res = train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=2, batch_size=8, seed=0))
+        finally:
+            sys.setswitchinterval(interval)
+        values.append(model.values.tobytes())
+        histories.append([format_history_line(r) for r in res.history])
+        models = {m for m, _ in calls}
+        assert len(models) == 2 and model in models  # model and one twin
+        assert {t.name for m, t in calls if m is not model} == ({CALLER} if cpus == 1 else {"mtlid-train"})
+        assert {t.name for m, t in calls if m is model} == {CALLER}
+        calls.clear()
+    assert values[0] == values[1]
+    assert histories[0] == histories[1]
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 10**9)  # no step splits
+    train_ds, dev_ds, vocab, whole = _dropout_setup()
+    train(whole, train_ds, dev_ds, vocab, TrainConfig(epochs=2, batch_size=8, seed=0))
+    assert {t.name for _, t in calls} == {CALLER} and {m for m, _ in calls} == {whole}
+    assert whole.values.tobytes() != values[0]  # the split steps sum in another order
+
+
+def test_steps_below_the_split_threshold_run_whole(monkeypatch):
+    train_ds, _, vocab, model = _dropout_setup()
+    _usable_cpus(monkeypatch, 2)
+    calls = _record_training_threads(monkeypatch)
+    widest = max(encode(clean_text(ex.text), vocab, 10).true_length for ex in train_ds.examples)
+    monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 8 * widest + 1)
+    train(model, train_ds, None, vocab, TrainConfig(epochs=1, batch_size=8, seed=0))
+    assert {m for m, _ in calls} == {model} and {t.name for _, t in calls} == {CALLER}
+
+
+class HalfError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(monkeypatch, failing):
+    monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
+    _usable_cpus(monkeypatch, 2)
+    train_ds, _, vocab, model = _dropout_setup()
+    error = HalfError(failing)
+    events = []
+    models = set()
+    forward = MtlModel.forward
+
+    def failing_forward(self, seqs, train_mode=False, rng=None):
+        models.add(self)
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            events.append("raise")
+            raise error
+        time.sleep(0.05)  # the other half raises meanwhile
+        out = forward(self, seqs, train_mode, rng)
+        events.append("other half's forward done")
+        return out
+
+    monkeypatch.setattr(MtlModel, "forward", failing_forward)
+    before = threading.enumerate()
+    with pytest.raises(HalfError) as info:
+        train(model, train_ds, None, vocab, TrainConfig(epochs=1, batch_size=8, seed=0))
+    assert info.value is error
+    assert events == ["raise", "other half's forward done"]  # the helper was joined
+    assert threading.enumerate() == before
+    assert len(models) == 2
+    assert all(p.grad is None for m in models for p in m.params.values())
+
+
+def test_no_training_thread_or_gradient_outlives_train(monkeypatch):
+    monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
+    _usable_cpus(monkeypatch, 2)
+    calls = _record_training_threads(monkeypatch)
+    train_ds, dev_ds, vocab, model = _dropout_setup()
+    before = threading.enumerate()
+    train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=2, batch_size=8, seed=0))
+    assert threading.enumerate() == before
+    helpers = {t for _, t in calls if t.name == "mtlid-train"}
+    assert helpers and not any(t.is_alive() for t in helpers)
+    models = {m for m, _ in calls}
+    assert len(models) == 2
+    assert all(p.grad is None for m in models for p in m.params.values())
+
+
+def test_a_diverging_split_run_raises_divergence_error_without_numpy_warnings(monkeypatch):
+    # numpy's error state does not carry into the helper thread, which sets its own
+    monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
+    _usable_cpus(monkeypatch, 2)
+    calls = _record_training_threads(monkeypatch)
+    train_ds, _, vocab, model = _dropout_setup()
+    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+        warnings.simplefilter("error")
+        train(model, train_ds, None, vocab, TrainConfig(epochs=3, batch_size=8, learning_rate=1e9))
+    assert "mtlid-train" in {t.name for _, t in calls}
+    assert all(np.isfinite(p.data).all() for p in model.params.values())
+
+
 def test_every_epoch_carries_dev_metrics():
     train_ds, dev_ds, vocab, config = tiny_setup()
     model = MtlModel(config, global_seed=0)
