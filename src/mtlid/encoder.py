@@ -166,11 +166,3 @@ def encode_batch(
     pooled = tanh(linear(first, params["encoder.pooler.w"], params["encoder.pooler.b"]))
     return EncoderOutput(h=x, pooled=pooled, mask=mask)
 
-
-def dropout_uniforms(cfg: EncoderConfig, rng: np.random.Generator, rows: int, width: int) -> list[np.ndarray]:
-    """The [rows, width, d_model] uniforms a train-mode encode_batch of that
-    shape draws from rng, drawn in its order: the embedding's dropout, then
-    each layer's attention and feed-forward. No draw at dropout rate 0."""
-    if cfg.dropout_rate <= 0.0:
-        return []
-    return [rng.random((rows, width, cfg.d_model)) for _ in range(1 + 2 * cfg.n_layers)]

@@ -767,6 +767,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
+def halves(n: int) -> tuple[slice, slice]:
+    """[0, n) as two ranges, the first the larger by one when n is odd."""
+    mid = (n + 1) // 2
+    return slice(0, mid), slice(mid, n)
+
+
+Job = Callable[[], None]
+
+
 class Adam:
     """Bias-corrected Adam over one flat array of values and one of their gradients.
 
@@ -792,20 +801,36 @@ class Adam:
         self.v = np.zeros_like(values)
         self.step_count = 0
 
-    def step(self) -> None:
+    def step(self, beside: Callable[[Job], Job] | None = None) -> None:
         """Apply one update from grads, which it then overwrites as scratch.
 
         Raises NonFiniteGradientError, before any state changes, when the
-        gradient holds inf or nan.
+        gradient holds inf or nan; the whole gradient is checked, and the
+        step counted once, before any value is written. With beside, the
+        update runs as the two ranges of halves(values.size): beside(job)
+        starts the second range's job beside the caller, perhaps on
+        another thread, and returns a function that waits for it and
+        raises its error; the caller updates the first range meanwhile.
+        Each element gets the same float operations in the same order
+        either way, so the values, m and v are the same bytes.
         """
-        g = self.grads
-        if not np.isfinite(g).all():
+        if not np.isfinite(self.grads).all():
             raise NonFiniteGradientError("non-finite gradient")
         self.step_count += 1
+        if beside is None:
+            self._update(slice(None))
+            return
+        first, second = halves(self.values.size)
+        wait = beside(lambda: self._update(second))
+        self._update(first)
+        wait()
+
+    def _update(self, part: slice) -> None:
+        """The update of values[part] at step step_count."""
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
-        m, v = self.m, self.v
+        values, g, m, v = self.values[part], self.grads[part], self.m[part], self.v[part]
         # The same elementwise operations, in the same order, as an update
         # of each parameter on its own; g is reused as scratch once read.
         update = (1.0 - ADAM_BETA1) * g
@@ -821,4 +846,4 @@ class Adam:
         np.divide(m, bc1, out=update)
         update *= self.learning_rate
         update /= g
-        self.values -= update
+        values -= update

@@ -7,23 +7,26 @@ on the country task when that head exists, else on the province task.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .data import DataError, Dataset, write_file
-from .encoder import dropout_uniforms
 from .model import MtlModel, compute_loss, param_specs, predict
 from .preprocess import TokenSequence, Vocabulary, clean_text, encode
 from .tensor import (
     Adam,
+    Job,
     NonFiniteGradientError,
     Tensor,
+    halves,
     no_grad,
     parameter_views,
     require_count,
@@ -274,16 +277,33 @@ def evaluate(
 
 
 class _RowDraws:
-    """The generator one half of a split step's forward draws from: each
-    random(shape) returns the half's rows of the batch's next dropout
-    uniforms, cut to the half's own width."""
+    """A copy of a split step's generator that one half's forward draws from.
 
-    def __init__(self, uniforms: list[np.ndarray], rows: slice):
-        self._next = iter(uniforms)
-        self._rows = rows
+    Each random(shape) skips, with PCG64.advance, the other half's rows of
+    the batch's next draw at the batch's width, draws the half's own rows
+    at that width and returns them cut to the half's width, shape[1]. So
+    the half gets the values that one forward over the whole batch would
+    draw for its rows. The copy holds the generator's 128-bit state but
+    not its buffered 32-bit word, which no double uses and which advance
+    clears: _split_step gives the step's generator its own word back.
+    """
+
+    def __init__(self, state: dict, rows: int, part: slice, width: int):
+        self.bits = np.random.PCG64()
+        self.bits.state = {**state, "has_uint32": 0, "uinteger": 0}
+        self._random = np.random.Generator(self.bits).random
+        self._skip = (part.start, rows - part.stop)  # the other half's rows before and after this half's
+        self._width = width
 
     def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        return next(self._next)[self._rows, : shape[1]]
+        rows, width, d = shape
+        before, after = self._skip
+        if before:
+            self.bits.advance(before * self._width * d)
+        out = self._random((rows, self._width, d))[:, :width]
+        if after:
+            self.bits.advance(after * self._width * d)
+        return out
 
 
 class _Tower:
@@ -304,7 +324,8 @@ class _Tower:
         rng: np.random.Generator | _RowDraws,
         share: float,
     ) -> float:
-        """Forward and backward of a batch's rows into grads; returns their loss.
+        """Forward and backward of a batch's rows into grads, which it
+        zeroes first; returns their loss.
 
         The loss is scaled by share, the rows' part of the whole batch,
         before the backward, and a loss that is not finite gets no
@@ -313,6 +334,7 @@ class _Tower:
         and fault it back in at every step (-13% peak RSS, -17% to -30%
         train_ex_per_s).
         """
+        self.grads.fill(0)
         logits_c, logits_p = self.model.forward(batch, train_mode=True, rng=rng)
         total, report = compute_loss(logits_c, logits_p, labels_c, labels_p, self.model.config)
         self.graph = total
@@ -326,6 +348,59 @@ class _Tower:
             p.grad = None
 
 
+def _in_turn(job: Job) -> Job:
+    """beside on one CPU: the caller runs job when it waits for it."""
+    return job
+
+
+@contextlib.contextmanager
+def _helper() -> Iterator[Callable[[Job], Job]]:
+    """beside for split steps, as _split_step and Adam.step take it.
+
+    Where the process may use two CPUs, beside(job) hands job to a helper
+    thread (mtlid-train), which runs the jobs in the order handed, and
+    returns a function that waits for that job and raises its error as
+    itself. After an error the helper runs no further job, and the wait
+    for each one raises that error. The helper is joined when the block
+    exits, however it exits. On one CPU beside is _in_turn.
+    """
+    if _usable_cpus() < 2:
+        yield _in_turn
+        return
+    jobs: queue.SimpleQueue[Job | None] = queue.SimpleQueue()
+    results: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()
+
+    def serve() -> None:
+        error = None
+        # numpy's error state does not carry into a new thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (job := jobs.get()) is not None:
+                if error is None:
+                    try:
+                        job()
+                    except BaseException as exc:  # the caller re-raises it
+                        error = exc
+                results.put(error)
+
+    def beside(job: Job) -> Job:
+        jobs.put(job)
+
+        def wait() -> None:
+            if (error := results.get()) is not None:
+                raise error
+
+        return wait
+
+    # daemon: an interrupted join does not hold up the process's exit
+    helper = threading.Thread(target=serve, name="mtlid-train", daemon=True)
+    helper.start()
+    try:
+        yield beside
+    finally:
+        jobs.put(None)
+        helper.join()
+
+
 def _split_step(
     tower: _Tower,
     twin: _Tower,
@@ -333,57 +408,52 @@ def _split_step(
     labels_c: np.ndarray,
     labels_p: np.ndarray,
     rng: np.random.Generator,
+    beside: Callable[[Job], Job],
 ) -> float:
     """A batch's rows as two halves, the first run on tower and the second
-    on twin; returns the batch's loss.
+    on twin, their gradients summed into tower.grads; returns the batch's
+    loss.
 
-    The batch's dropout uniforms are drawn from rng first, as one
-    forward over the whole batch draws them, and each half takes its rows.
-    Where the process may use two CPUs, a helper thread runs the second
-    half while the caller runs the first, and is joined before this
-    returns or raises; otherwise the caller runs both in turn. An error in
-    either half is raised as itself.
+    The second half and then the merge of the second range of the
+    gradient run through beside while the caller runs the first half and
+    merges the first range. Each half draws from its own _RowDraws copy
+    of rng, so it gets its rows of each dropout draw of one forward over
+    the whole batch; after both halves, rng takes the second half's state
+    with its own buffered word, the state an unsplit step leaves. An
+    error in either half or either range is raised as itself.
     """
     rows = len(batch)
-    mid = (rows + 1) // 2
     width = max(seq.true_length for seq in batch)
-    uniforms = dropout_uniforms(tower.model.config.encoder, rng, rows, width)
-    halves = [(tower, slice(0, mid)), (twin, slice(mid, rows))]
+    state = rng.bit_generator.state
+    towers, parts = (tower, twin), halves(rows)
+    draws: list[_RowDraws | None] = [None, None]
     losses = [math.nan, math.nan]
-    errors: list[BaseException] = []
 
     def run(i: int) -> None:
-        half, part = halves[i]
-        share = (part.stop - part.start) / rows
-        losses[i] = half.run(batch[part], labels_c[part], labels_p[part], _RowDraws(uniforms, part), share)
+        part = parts[i]
+        draws[i] = _RowDraws(state, rows, part, width)
+        losses[i] = towers[i].run(
+            batch[part], labels_c[part], labels_p[part], draws[i], (part.stop - part.start) / rows
+        )
         # Unlike a whole step's, a half's graph is freed once its backward
         # is done. Kept to the next step, split steps ran about 10% faster
         # on the benchmark's long texts, but peak RSS stayed at the whole
         # steps' level and once read 10% above it; freed, it is 12% lower.
-        half.graph = None
+        towers[i].graph = None
 
-    def run_second() -> None:
-        try:
-            # numpy's error state does not carry into a new thread
-            with np.errstate(over="ignore", invalid="ignore"):
-                run(1)
-        except BaseException as exc:  # the caller re-raises it
-            errors.append(exc)
+    def merge(part: slice) -> None:
+        tower.grads[part] += twin.grads[part]
 
-    helper = None
-    if _usable_cpus() > 1:
-        # daemon: an interrupted join does not hold up the process's exit
-        helper = threading.Thread(target=run_second, name="mtlid-train", daemon=True)
-        helper.start()
-    try:
-        run(0)
-        if helper is None:
-            run(1)
-    finally:
-        if helper is not None:
-            helper.join()
-    if errors:
-        raise errors[0]
+    first, second = halves(tower.grads.size)
+    second_half = beside(lambda: run(1))
+    run(0)
+    # handed on only now: it adds into what the first half's backward wrote
+    second_merge = beside(lambda: merge(second))
+    second_half()
+    rng.bit_generator.state = {**state, "state": draws[1].bits.state["state"]}
+    merge(first)
+    second_merge()
+    mid = parts[1].start
     return (losses[0] * mid + losses[1] * (rows - mid)) / rows
 
 
@@ -407,15 +477,20 @@ def train(
     padded positions (rows times longest true_length) runs as two row
     halves, each loss scaled by its share of the rows. The caller runs the
     first on model; the second runs on a twin, a second MtlModel over the
-    same values whose grads view a second array, on a helper thread
-    (mtlid-train) where the process may use two CPUs, else after the first
-    on the caller. The caller draws the batch's dropout uniforms before
-    either half starts, in the order one forward over the batch draws
-    them, so the generator's stream is that of an unsplit step. After both
-    halves the twin's gradient is added into the model's, and Adam steps
-    once. The split depends only on the batch's shape, so the trained
-    bytes do not depend on the CPU count; they differ from an unsplit
-    step's only in float summation order. Every other step runs whole.
+    same values whose grads view a second array. Each half draws only its
+    own rows of each dropout draw, from its own copy of the generator, so
+    the generator's stream is that of an unsplit step. After both halves
+    the twin's gradient is added into the model's in two ranges, and Adam
+    steps once, in the two ranges of halves(values.size). Where the
+    process may use two CPUs, a helper thread (mtlid-train), started at
+    an epoch's first split step, runs each split step's second half,
+    second range of the merge and second range of Adam's update while
+    the caller runs the first of each; it is joined at the epoch's end,
+    before dev scoring, or when training raises. Otherwise the caller
+    runs both in turn. The split depends only on the batch's shape, so
+    the trained bytes do not depend on the CPU count; they differ from
+    an unsplit step's only in float summation order. Every other step
+    runs whole, on the caller.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -446,25 +521,31 @@ def train(
             loss_sum = 0.0
             # A diverging step overflows inside the forward pass; the loss and
             # gradient checks below report it, so numpy's warnings are noise.
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as helpers:
+                split_beside = None  # from the epoch's first split step on
                 for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
                     idx = order[start : start + cfg.batch_size]
                     batch = [seqs[i] for i in idx]
-                    grads.fill(0)
-                    if len(idx) > 1 and len(idx) * max(seq.true_length for seq in batch) >= TRAIN_SPLIT_TOKENS:
-                        if twin is None:
-                            twin = _Tower(MtlModel(model.config, values=model.values), np.zeros_like(grads))
-                        else:
-                            twin.grads.fill(0)
-                        loss = _split_step(tower, twin, batch, labels_c[idx], labels_p[idx], rng)
-                        grads += twin.grads
+                    split = len(idx) > 1 and len(idx) * max(seq.true_length for seq in batch) >= TRAIN_SPLIT_TOKENS
+                    if split and twin is None:
+                        twin = _Tower(MtlModel(model.config, values=model.values), np.zeros_like(grads))
+                    if split and split_beside is None:
+                        # One helper an epoch, joined before dev scoring
+                        # starts its own. With one per step, bench
+                        # train-long-country's peak RSS read about 81 MB in
+                        # 5 of 21 runs, 72 MB in the rest; one kept across
+                        # dev scoring held it at 75 MB.
+                        split_beside = helpers.enter_context(_helper())
+                    beside = split_beside if split else None
+                    if split:
+                        loss = _split_step(tower, twin, batch, labels_c[idx], labels_p[idx], rng, beside)
                     else:
                         loss = tower.run(batch, labels_c[idx], labels_p[idx], rng, 1.0)
                     diverged = f"training diverged: loss {loss} at epoch {epoch}, step {step}"
                     if not math.isfinite(loss):
                         raise DivergenceError(diverged)
                     try:
-                        adam.step()
+                        adam.step(beside)
                     except NonFiniteGradientError as exc:
                         name = next(name for name, p in model.params.items() if not np.isfinite(p.grad).all())
                         raise DivergenceError(f"{diverged} (non-finite gradient in {name!r})") from exc

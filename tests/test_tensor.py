@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mtlid.tensor import (
     dropout,
     embedding,
     gelu,
+    halves,
     init_parameters,
     layer_norm,
     linear,
@@ -465,23 +467,91 @@ def test_adam_rejects_mixed_dtypes():
             Adam(np.ones(2, dtype=np.float32), grads, learning_rate=0.1)
 
 
+def _in_turn(job):
+    """beside on one CPU: the caller runs the job when it waits for it."""
+    return job
+
+
+def _on_a_thread(job):
+    """beside on two CPUs: a thread runs the job; the wait joins it and raises its error."""
+    errors = []
+
+    def run():
+        try:
+            job()
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def wait():
+        thread.join()
+        if errors:
+            raise errors[0]
+
+    return wait
+
+
+BESIDES = {1: _in_turn, 2: _on_a_thread}
+
+
+def _recording(beside, threads):
+    """beside that records the thread each job runs on."""
+
+    def wrapped(job):
+        def recorded():
+            threads.append(threading.current_thread())
+            job()
+
+        return beside(recorded)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adam_in_two_ranges_equals_one_step_bitwise(cpus):
+    # an odd length: the first range is one element longer
+    rng = np.random.default_rng(8)
+    start = rng.normal(size=1001).astype(np.float32)
+    opts = [Adam(start.copy(), np.empty_like(start), learning_rate=0.01) for _ in range(2)]
+    threads = []
+    for _ in range(4):
+        g = (rng.normal(size=start.size) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
+        for opt in opts:
+            opt.grads[...] = g
+        opts[0].step()
+        opts[1].step(_recording(BESIDES[cpus], threads))
+    whole, split = opts
+    for attr in ("values", "m", "v"):
+        assert getattr(split, attr).tobytes() == getattr(whole, attr).tobytes(), attr
+    assert split.step_count == whole.step_count == 4
+    assert halves(1001) == (slice(0, 501), slice(501, 1001))
+    on_caller = [t is threading.current_thread() for t in threads]
+    assert on_caller == [cpus == 1] * 4  # one job a step, the second range's
+
+
 def test_adam_non_finite_gradient_changes_nothing():
-    values = np.ones(7, dtype=np.float32)
-    grads = np.ones_like(values)
-    opt = Adam(values, grads, learning_rate=0.1)
-    opt.step()
-    before = values.copy()
-    m, v = opt.m.copy(), opt.v.copy()
-    for bad in (np.inf, -np.inf, np.nan):
-        grads[...] = 1.0
-        grads[4] = bad
-        seen = grads.copy()
-        with pytest.raises(NonFiniteGradientError):
-            opt.step()
-        assert opt.step_count == 1
-        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
-        assert np.array_equal(values, before)
-        assert np.array_equal(grads, seen, equal_nan=True)  # left for the caller to locate
+    for beside in (None, _in_turn, _on_a_thread):
+        values = np.ones(7, dtype=np.float32)
+        grads = np.ones_like(values)
+        opt = Adam(values, grads, learning_rate=0.1)
+        opt.step(beside)
+        before = values.copy()
+        m, v = opt.m.copy(), opt.v.copy()
+        # halves(7) is [0, 4) and [4, 7): a bad entry in either range
+        for bad, where in itertools.product((np.inf, -np.inf, np.nan), (1, 4)):
+            grads[...] = 1.0
+            grads[where] = bad
+            seen = grads.copy()
+            threads = []
+            with pytest.raises(NonFiniteGradientError):
+                opt.step(beside and _recording(beside, threads))
+            assert threads == []  # no range was started
+            assert opt.step_count == 1
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+            assert np.array_equal(values, before)
+            assert np.array_equal(grads, seen, equal_nan=True)  # left for the caller to locate
 
 
 # ---------------------------------------------------------------------------

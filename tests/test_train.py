@@ -1,6 +1,9 @@
 """Metrics oracles, training-loop determinism, and report file formats."""
 
+import collections
+import contextlib
 import dataclasses
+import itertools
 import os
 import re
 import signal
@@ -27,7 +30,7 @@ from mtlid.model import (
     save_checkpoint,
 )
 from mtlid.preprocess import build_vocab, clean_text, encode
-from mtlid.tensor import no_grad
+from mtlid.tensor import Adam, no_grad
 from mtlid.train import (
     INFERENCE_TOKENS,
     DivergenceError,
@@ -764,18 +767,32 @@ def test_a_split_step_has_the_whole_steps_gradient_and_draws(monkeypatch, mode, 
     train_ds, _, vocab, model = _dropout_setup(mode, dtype=np.float64)
     _usable_cpus(monkeypatch, cpus)
     batch, labels_c, labels_p = _one_batch(train_ds, vocab, model, 7)
-    whole_rng = np.random.default_rng(3)
-    tower = train_mod._Tower(model, np.zeros_like(model.values))
-    whole_loss = tower.run(batch, labels_c, labels_p, whole_rng, 1.0)
-    whole = tower.grads.copy()
-    tower.grads.fill(0)
-    twin = train_mod._Tower(MtlModel(model.config, values=model.values), np.zeros_like(model.values))
-    split_rng = np.random.default_rng(3)
-    split_loss = train_mod._split_step(tower, twin, batch, labels_c, labels_p, split_rng)
-    assert split_rng.bit_generator.state == whole_rng.bit_generator.state
-    assert abs(split_loss - whole_loss) <= 1e-12
-    assert np.abs(whole).max() > 0.1
-    np.testing.assert_allclose(tower.grads + twin.grads, whole, rtol=0, atol=1e-12)
+    encoder = dataclasses.replace(model.config.encoder, dropout_rate=0.0)
+    no_dropout = MtlModel(dataclasses.replace(model.config, encoder=encoder), global_seed=0, dtype=np.float64)
+    # rng.permutation leaves the generator's buffered 32-bit word set, and
+    # PCG64.advance clears it; a split step leaves the step's own word,
+    # whether its halves draw or not
+    for net, buffered in ((model, False), (model, True), (no_dropout, True)):
+
+        def generator():
+            rng = np.random.default_rng(3)
+            if buffered:
+                rng.permutation(5)
+                assert rng.bit_generator.state["uinteger"] != 0
+            return rng
+
+        whole_rng = generator()
+        tower = train_mod._Tower(net, np.zeros_like(net.values))
+        whole_loss = tower.run(batch, labels_c, labels_p, whole_rng, 1.0)
+        whole = tower.grads.copy()
+        twin = train_mod._Tower(MtlModel(net.config, values=net.values), np.zeros_like(net.values))
+        split_rng = generator()
+        with train_mod._helper() as beside:
+            split_loss = train_mod._split_step(tower, twin, batch, labels_c, labels_p, split_rng, beside)
+        assert split_rng.bit_generator.state == whole_rng.bit_generator.state
+        assert abs(split_loss - whole_loss) <= 1e-12
+        assert np.abs(whole).max() > 0.1
+        np.testing.assert_allclose(tower.grads, whole, rtol=0, atol=1e-12)
 
 
 def test_split_training_in_float64_tracks_whole_training(monkeypatch):
@@ -853,7 +870,11 @@ class HalfError(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
+def _training_helpers():
+    return [t for t in threading.enumerate() if t.name == "mtlid-train"]
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper", "helper-merge", "helper-adam"])
 def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(monkeypatch, failing):
     monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
     _usable_cpus(monkeypatch, 2)
@@ -874,27 +895,85 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
         events.append("other half's forward done")
         return out
 
-    monkeypatch.setattr(MtlModel, "forward", failing_forward)
+    # the helper's jobs in a split step: its half, its merge, its Adam range
+    helper, failing_job = train_mod._helper, {"helper-merge": 1, "helper-adam": 2}.get(failing)
+
+    @contextlib.contextmanager
+    def failing_helper():
+        with helper() as beside:
+            jobs = itertools.count()
+
+            def failing_beside(job):
+                def run():
+                    assert threading.current_thread().name == "mtlid-train"
+                    time.sleep(0.05)  # the caller's own range runs meanwhile
+                    events.append("raise")
+                    raise error
+
+                return beside(run if next(jobs) == failing_job else job)
+
+            yield failing_beside
+
+    if failing_job is None:
+        monkeypatch.setattr(MtlModel, "forward", failing_forward)
+    else:
+        monkeypatch.setattr(train_mod, "_helper", failing_helper)
     before = threading.enumerate()
     with pytest.raises(HalfError) as info:
         train(model, train_ds, None, vocab, TrainConfig(epochs=1, batch_size=8, seed=0))
     assert info.value is error
-    assert events == ["raise", "other half's forward done"]  # the helper was joined
-    assert threading.enumerate() == before
-    assert len(models) == 2
-    assert all(p.grad is None for m in models for p in m.params.values())
+    if failing_job is None:
+        assert events == ["raise", "other half's forward done"]  # the helper was joined
+        assert len(models) == 2
+    else:
+        assert events == ["raise"]  # in the first split step
+    assert threading.enumerate() == before and _training_helpers() == []
+    for m in (model, *models):
+        assert all(p.grad is None for p in m.params.values())
 
 
 def test_no_training_thread_or_gradient_outlives_train(monkeypatch):
     monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
     _usable_cpus(monkeypatch, 2)
     calls = _record_training_threads(monkeypatch)
+    adam_threads = []
+    update = Adam._update
+
+    def recorded_update(self, part):
+        adam_threads.append(threading.current_thread())
+        update(self, part)
+
+    monkeypatch.setattr(Adam, "_update", recorded_update)
+    helpers_at_scoring = []
+    predict_sequences = train_mod._predict_sequences
+
+    def recorded_predict(*args):
+        helpers_at_scoring.append(_training_helpers())
+        return predict_sequences(*args)
+
+    monkeypatch.setattr(train_mod, "_predict_sequences", recorded_predict)
+    handed = []
+    helper = train_mod._helper
+
+    @contextlib.contextmanager
+    def counting_helper():
+        with helper() as beside:
+            yield lambda job: handed.append(job) or beside(job)
+
+    monkeypatch.setattr(train_mod, "_helper", counting_helper)
     train_ds, dev_ds, vocab, model = _dropout_setup()
     before = threading.enumerate()
     train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=2, batch_size=8, seed=0))
-    assert threading.enumerate() == before
+    assert threading.enumerate() == before and _training_helpers() == []
     helpers = {t for _, t in calls if t.name == "mtlid-train"}
     assert helpers and not any(t.is_alive() for t in helpers)
+    # 44 rows at batch 8: 6 split steps an epoch, for each of which the
+    # epoch's one helper ran the second half and then the second range of
+    # Adam's update; it is joined before the epoch's dev scoring
+    assert len(helpers) == 2 and {t for t in adam_threads if t.name == "mtlid-train"} == helpers
+    assert collections.Counter(t.name for t in adam_threads) == {CALLER: 12, "mtlid-train": 12}
+    assert len(handed) == 3 * 12  # each step's half, merge range and Adam range
+    assert helpers_at_scoring == [[], []]
     models = {m for m, _ in calls}
     assert len(models) == 2
     assert all(p.grad is None for m in models for p in m.params.values())
@@ -906,10 +985,16 @@ def test_a_diverging_split_run_raises_divergence_error_without_numpy_warnings(mo
     _usable_cpus(monkeypatch, 2)
     calls = _record_training_threads(monkeypatch)
     train_ds, _, vocab, model = _dropout_setup()
-    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+    with warnings.catch_warnings(), pytest.raises(DivergenceError) as info:
         warnings.simplefilter("error")
         train(model, train_ds, None, vocab, TrainConfig(epochs=3, batch_size=8, learning_rate=1e9))
+    # the loss is still finite at the step whose merged gradient is not
+    assert re.fullmatch(
+        r"training diverged: loss \S+ at epoch \d+, step \d+ \(non-finite gradient in '[\w.]+'\)",
+        str(info.value),
+    ), str(info.value)
     assert "mtlid-train" in {t.name for _, t in calls}
+    assert _training_helpers() == []
     assert all(np.isfinite(p.data).all() for p in model.params.values())
 
 
