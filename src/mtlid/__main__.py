@@ -1,9 +1,10 @@
 """The `mtlid` command, as installed and as `python -m mtlid`.
 
 It sets each BLAS thread variable the environment leaves unset to 1 before
-numpy loads, so that OpenBLAS starts no threads of its own: the inference
-helper thread (see `train.predict_texts`) already uses the second core,
-and two BLAS threads under each of two Python threads oversubscribe it. A
+numpy loads, so that OpenBLAS starts no threads of its own: the helper
+thread that inference and training share (see `train._helper`) already
+uses the second core, and two BLAS threads under each of two Python
+threads oversubscribe it. A
 value the user sets wins. Code that imports `mtlid` as a library keeps
 its own BLAS setting; only this entry point sets one.
 """

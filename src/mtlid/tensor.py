@@ -776,6 +776,11 @@ def halves(n: int) -> tuple[slice, slice]:
 Job = Callable[[], None]
 
 
+def in_turn(job: Job) -> Job:
+    """beside where no helper runs: the caller runs job when it waits for it."""
+    return job
+
+
 class Adam:
     """Bias-corrected Adam over one flat array of values and one of their gradients.
 
@@ -801,25 +806,22 @@ class Adam:
         self.v = np.zeros_like(values)
         self.step_count = 0
 
-    def step(self, beside: Callable[[Job], Job] | None = None) -> None:
+    def step(self, beside: Callable[[Job], Job] = in_turn) -> None:
         """Apply one update from grads, which it then overwrites as scratch.
 
         Raises NonFiniteGradientError, before any state changes, when the
         gradient holds inf or nan; the whole gradient is checked, and the
-        step counted once, before any value is written. With beside, the
-        update runs as the two ranges of halves(values.size): beside(job)
-        starts the second range's job beside the caller, perhaps on
-        another thread, and returns a function that waits for it and
-        raises its error; the caller updates the first range meanwhile.
-        Each element gets the same float operations in the same order
-        either way, so the values, m and v are the same bytes.
+        step counted once, before any value is written. The update runs
+        as the two ranges of halves(values.size): beside(job) starts the
+        second range's job beside the caller, perhaps on another thread,
+        and returns a function that waits for it and raises its error; the
+        caller updates the first range meanwhile. The update is
+        elementwise, so the values, m and v are the bytes of one update
+        over the whole arrays.
         """
         if not np.isfinite(self.grads).all():
             raise NonFiniteGradientError("non-finite gradient")
         self.step_count += 1
-        if beside is None:
-            self._update(slice(None))
-            return
         first, second = halves(self.values.size)
         wait = beside(lambda: self._update(second))
         self._update(first)

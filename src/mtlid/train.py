@@ -8,6 +8,8 @@ on the country task when that head exists, else on the province task.
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import functools
 import math
 import os
 import queue
@@ -27,6 +29,7 @@ from .tensor import (
     NonFiniteGradientError,
     Tensor,
     halves,
+    in_turn,
     no_grad,
     parameter_views,
     require_count,
@@ -172,15 +175,6 @@ def _check_labels(dataset: Dataset, model: MtlModel, which: str) -> None:
             raise DataError(f"{which}: {n_labels} {task} labels do not match the model's {classes} classes")
 
 
-def _labels(model: MtlModel, seqs: Sequence[TokenSequence]) -> list[np.ndarray]:
-    """Argmax class ids of one block per present head, in forward order.
-
-    Enters no_grad() itself: the helper thread does not see the caller's.
-    """
-    with no_grad():
-        return [predict(logits) for logits in model.forward(seqs) if logits is not None]
-
-
 def _predict_sequences(
     model: MtlModel, seqs: Sequence[TokenSequence], batch_size: int
 ) -> dict[str, np.ndarray]:
@@ -200,33 +194,17 @@ def _predict_sequences(
         blocks.append(seqs[start:stop])
         start = stop
     parts: list[list[np.ndarray] | None] = [None] * len(blocks)  # ids per head of each block
-    errors: list[BaseException] = []  # once this holds one, the helper starts no further block
 
-    def run_odd() -> None:
-        try:
-            for i in range(1, len(blocks), 2):
-                if errors:
-                    return
-                parts[i] = _labels(model, blocks[i])
-        except BaseException as exc:  # the caller re-raises it
-            errors.append(exc)
+    def run(i: int) -> None:
+        parts[i] = [predict(logits) for logits in model.forward(blocks[i]) if logits is not None]
 
-    helper = None
-    if budgeted and len(blocks) > 1 and _usable_cpus() > 1:
-        # daemon: an interrupted join does not hold up the process's exit
-        helper = threading.Thread(target=run_odd, name="mtlid-predict", daemon=True)
-        helper.start()
-    try:
-        for i in range(0, len(blocks), 1 if helper is None else 2):
-            parts[i] = _labels(model, blocks[i])
-    except BaseException as exc:
-        errors.append(exc)  # the caller's own: it stops the helper
-        raise
-    finally:
-        if helper is not None:
-            helper.join()
-    if errors:
-        raise errors[0]
+    helper = _helper() if budgeted and len(blocks) > 1 else contextlib.nullcontext(in_turn)
+    with no_grad(), helper as beside:
+        waits = [beside(functools.partial(run, i)) for i in range(1, len(blocks), 2)]
+        for i in range(0, len(blocks), 2):
+            run(i)
+        for wait in waits:
+            wait()
     return {
         task: np.concatenate([part[i] for part in parts]) if parts else np.zeros(0, dtype=np.intp)
         for i, (task, _) in enumerate(model.config.tasks())
@@ -243,13 +221,12 @@ def predict_texts(
     that budget on its own is a block of one. Every block runs whole. If
     some block of two or more texts is limited by the budget, not by
     batch_size (batch_size times its longest true_length is over
-    INFERENCE_TOKENS), the call has two or more blocks, and the process's
-    CPU affinity, read at each call, allows two or more CPUs, one helper
-    thread starts for this call. It runs the second, fourth, ... blocks
-    in input order while the caller runs the first, third, ...; the call
-    joins it before it returns, and each concurrent caller runs its own.
-    Otherwise the caller runs every block: on one CPU, for a lone block,
-    and where batch_size limits every block, as with short texts. The
+    INFERENCE_TOKENS) and the call has two or more blocks, it runs under
+    one _helper for this call: the helper runs the second, fourth, ...
+    blocks in input order while the caller runs the first, third, ...,
+    and each concurrent caller runs its own. Otherwise, and where _helper
+    finds one CPU, the caller runs every block: for a lone block, and
+    where batch_size limits every block, as with short texts. The
     rows of every block are the same either way, so the labels do not
     depend on the CPU count. They equal those of one batch over all texts
     except at near-ties, since a row's BLAS result depends on the rows it
@@ -348,42 +325,39 @@ class _Tower:
             p.grad = None
 
 
-def _in_turn(job: Job) -> Job:
-    """beside on one CPU: the caller runs job when it waits for it."""
-    return job
-
-
 @contextlib.contextmanager
 def _helper() -> Iterator[Callable[[Job], Job]]:
-    """beside for split steps, as _split_step and Adam.step take it.
+    """beside for predict_texts' blocks, split steps and Adam.step; the one
+    place that starts a thread.
 
     Where the process may use two CPUs, beside(job) hands job to a helper
-    thread (mtlid-train), which runs the jobs in the order handed, and
-    returns a function that waits for that job and raises its error as
-    itself. After an error the helper runs no further job, and the wait
-    for each one raises that error. The helper is joined when the block
-    exits, however it exits. On one CPU beside is _in_turn.
+    thread, mtlid-helper, and returns a function that waits for that job
+    and raises its error as itself. The helper runs the jobs in the order
+    handed, each in a copy of the caller's context at the handing, so
+    under the caller's no_grad() and numpy error state. After an error it
+    runs no further job, and the wait for each one raises that error.
+    Once the block exits, however it exits, the helper starts no job it
+    has not begun, and it is joined. On one CPU beside is in_turn.
     """
     if _usable_cpus() < 2:
-        yield _in_turn
+        yield in_turn
         return
     jobs: queue.SimpleQueue[Job | None] = queue.SimpleQueue()
     results: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()
+    closed = threading.Event()  # the block has exited
 
     def serve() -> None:
         error = None
-        # numpy's error state does not carry into a new thread
-        with np.errstate(over="ignore", invalid="ignore"):
-            while (job := jobs.get()) is not None:
-                if error is None:
-                    try:
-                        job()
-                    except BaseException as exc:  # the caller re-raises it
-                        error = exc
-                results.put(error)
+        while (job := jobs.get()) is not None:
+            if error is None and not closed.is_set():
+                try:
+                    job()
+                except BaseException as exc:  # the caller re-raises it
+                    error = exc
+            results.put(error)
 
     def beside(job: Job) -> Job:
-        jobs.put(job)
+        jobs.put(functools.partial(contextvars.copy_context().run, job))
 
         def wait() -> None:
             if (error := results.get()) is not None:
@@ -392,11 +366,12 @@ def _helper() -> Iterator[Callable[[Job], Job]]:
         return wait
 
     # daemon: an interrupted join does not hold up the process's exit
-    helper = threading.Thread(target=serve, name="mtlid-train", daemon=True)
+    helper = threading.Thread(target=serve, name="mtlid-helper", daemon=True)
     helper.start()
     try:
         yield beside
     finally:
+        closed.set()
         jobs.put(None)
         helper.join()
 
@@ -481,16 +456,14 @@ def train(
     own rows of each dropout draw, from its own copy of the generator, so
     the generator's stream is that of an unsplit step. After both halves
     the twin's gradient is added into the model's in two ranges, and Adam
-    steps once, in the two ranges of halves(values.size). Where the
-    process may use two CPUs, a helper thread (mtlid-train), started at
-    an epoch's first split step, runs each split step's second half,
-    second range of the merge and second range of Adam's update while
-    the caller runs the first of each; it is joined at the epoch's end,
-    before dev scoring, or when training raises. Otherwise the caller
-    runs both in turn. The split depends only on the batch's shape, so
-    the trained bytes do not depend on the CPU count; they differ from
-    an unsplit step's only in float summation order. Every other step
-    runs whole, on the caller.
+    steps once, in the two ranges of halves(values.size). A _helper,
+    entered at an epoch's first split step, runs each split step's second
+    half, second range of the merge and second range of Adam's update
+    while the caller runs the first of each; it exits at the epoch's end,
+    before dev scoring, or when training raises. The split depends only
+    on the batch's shape, so the trained bytes do not depend on the CPU
+    count; they differ from an unsplit step's only in float summation
+    order. Every other step runs whole, on the caller.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -521,6 +494,7 @@ def train(
             loss_sum = 0.0
             # A diverging step overflows inside the forward pass; the loss and
             # gradient checks below report it, so numpy's warnings are noise.
+            # The helper's jobs run under this error state too.
             with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as helpers:
                 split_beside = None  # from the epoch's first split step on
                 for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
@@ -536,7 +510,7 @@ def train(
                         # 5 of 21 runs, 72 MB in the rest; one kept across
                         # dev scoring held it at 75 MB.
                         split_beside = helpers.enter_context(_helper())
-                    beside = split_beside if split else None
+                    beside = split_beside if split else in_turn
                     if split:
                         loss = _split_step(tower, twin, batch, labels_c[idx], labels_p[idx], rng, beside)
                     else:

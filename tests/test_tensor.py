@@ -9,6 +9,9 @@ import pytest
 
 from gradcheck import max_grad_error
 from mtlid.tensor import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     Adam,
     DegenerateMaskError,
     NonFiniteGradientError,
@@ -24,6 +27,7 @@ from mtlid.tensor import (
     embedding,
     gelu,
     halves,
+    in_turn,
     init_parameters,
     layer_norm,
     linear,
@@ -467,11 +471,6 @@ def test_adam_rejects_mixed_dtypes():
             Adam(np.ones(2, dtype=np.float32), grads, learning_rate=0.1)
 
 
-def _in_turn(job):
-    """beside on one CPU: the caller runs the job when it waits for it."""
-    return job
-
-
 def _on_a_thread(job):
     """beside on two CPUs: a thread runs the job; the wait joins it and raises its error."""
     errors = []
@@ -493,7 +492,7 @@ def _on_a_thread(job):
     return wait
 
 
-BESIDES = {1: _in_turn, 2: _on_a_thread}
+BESIDES = {1: in_turn, 2: _on_a_thread}
 
 
 def _recording(beside, threads):
@@ -509,30 +508,41 @@ def _recording(beside, threads):
     return wrapped
 
 
+def _whole_adam_update(values, m, v, g, t, learning_rate):
+    """One bias-corrected Adam update of whole arrays, in place, each
+    float32 operation rounded in the order Adam._update rounds it."""
+    update = (1.0 - ADAM_BETA1) * g
+    m *= ADAM_BETA1
+    m += update
+    v *= ADAM_BETA2
+    v += g * g * (1.0 - ADAM_BETA2)
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPSILON
+    values -= m / (1.0 - ADAM_BETA1**t) * learning_rate / denom
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_adam_in_two_ranges_equals_one_step_bitwise(cpus):
     # an odd length: the first range is one element longer
     rng = np.random.default_rng(8)
     start = rng.normal(size=1001).astype(np.float32)
-    opts = [Adam(start.copy(), np.empty_like(start), learning_rate=0.01) for _ in range(2)]
+    split = Adam(start.copy(), np.empty_like(start), learning_rate=0.01)
+    whole = {"values": start.copy(), "m": np.zeros_like(start), "v": np.zeros_like(start)}
     threads = []
-    for _ in range(4):
+    for t in range(1, 5):
         g = (rng.normal(size=start.size) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
-        for opt in opts:
-            opt.grads[...] = g
-        opts[0].step()
-        opts[1].step(_recording(BESIDES[cpus], threads))
-    whole, split = opts
+        split.grads[...] = g
+        split.step(_recording(BESIDES[cpus], threads))
+        _whole_adam_update(whole["values"], whole["m"], whole["v"], g, t, 0.01)
     for attr in ("values", "m", "v"):
-        assert getattr(split, attr).tobytes() == getattr(whole, attr).tobytes(), attr
-    assert split.step_count == whole.step_count == 4
+        assert getattr(split, attr).tobytes() == whole[attr].tobytes(), attr
+    assert split.step_count == 4
     assert halves(1001) == (slice(0, 501), slice(501, 1001))
     on_caller = [t is threading.current_thread() for t in threads]
     assert on_caller == [cpus == 1] * 4  # one job a step, the second range's
 
 
 def test_adam_non_finite_gradient_changes_nothing():
-    for beside in (None, _in_turn, _on_a_thread):
+    for beside in (in_turn, _on_a_thread):
         values = np.ones(7, dtype=np.float32)
         grads = np.ones_like(values)
         opt = Adam(values, grads, learning_rate=0.1)
@@ -546,7 +556,7 @@ def test_adam_non_finite_gradient_changes_nothing():
             seen = grads.copy()
             threads = []
             with pytest.raises(NonFiniteGradientError):
-                opt.step(beside and _recording(beside, threads))
+                opt.step(_recording(beside, threads))
             assert threads == []  # no range was started
             assert opt.step_count == 1
             assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)

@@ -30,7 +30,7 @@ from mtlid.model import (
     save_checkpoint,
 )
 from mtlid.preprocess import build_vocab, clean_text, encode
-from mtlid.tensor import Adam, no_grad
+from mtlid.tensor import Adam, Tensor, no_grad, scale
 from mtlid.train import (
     INFERENCE_TOKENS,
     DivergenceError,
@@ -419,13 +419,13 @@ def _blocks(calls):
 def _assert_helper_ran_every_second_block(calls):
     """The helper thread ran exactly the second, fourth, ... blocks, in input
     order, and the caller the rest."""
-    assert [name for *_, name in sorted(calls)] == [CALLER if i % 2 == 0 else "mtlid-predict" for i in range(len(calls))]
+    assert [name for *_, name in sorted(calls)] == [CALLER if i % 2 == 0 else "mtlid-helper" for i in range(len(calls))]
     helper_starts = [start for start, _, name in calls if name != CALLER]
     assert helper_starts == sorted(helper_starts)
 
 
 def _usable_cpus(monkeypatch, n):
-    """The process may run on n CPUs, as predict_texts sees it."""
+    """The process may run on n CPUs, as _helper sees it."""
     monkeypatch.setattr(train_mod.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -687,7 +687,7 @@ def test_concurrent_callers_each_run_their_own_helper(monkeypatch):
     forward = model.forward
 
     def recorded(seqs, *args, **kwargs):
-        if threading.current_thread().name == "mtlid-predict":
+        if threading.current_thread().name == "mtlid-helper":
             helpers.add(threading.current_thread())
         return forward(seqs, *args, **kwargs)
 
@@ -739,6 +739,73 @@ def test_a_forked_child_starts_its_own_helper(monkeypatch):
             pytest.fail("the forked child's prediction did not finish in 60 s")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the helper thread
+# ---------------------------------------------------------------------------
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name == "mtlid-helper"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_helper_job_runs_under_the_callers_no_grad_and_numpy_error_state(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    leaf = Tensor(np.ones(3, dtype=np.float32))
+    big = np.full(3, 3e38, dtype=np.float32)
+    out, threads = [], []
+
+    def job(make):
+        def run():
+            threads.append(threading.current_thread().name)
+            out.append(make())
+
+        return run
+
+    with warnings.catch_warnings(), train_mod._helper() as beside:
+        warnings.simplefilter("error")
+        with no_grad():
+            beside(job(lambda: scale(leaf, 2.0)))()
+        beside(job(lambda: scale(leaf, 2.0)))()
+        with np.errstate(over="ignore"):
+            beside(job(lambda: big * np.float32(10)))()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            beside(job(lambda: big * np.float32(10)))()
+    assert threads == [CALLER if cpus == 1 else "mtlid-helper"] * 4
+    no_graph, graph, overflowed = out
+    assert no_graph._parents == () and no_graph._vjp is None
+    assert graph._parents == (leaf,)
+    assert np.isinf(overflowed).all()
+    assert _helper_threads() == []
+
+
+def test_once_its_block_exits_the_helper_starts_no_job_it_has_not_begun(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    began, release = threading.Event(), threading.Event()
+    ran = []
+    join = threading.Thread.join
+
+    def releasing_join(thread, *args, **kwargs):
+        release.set()  # the block has exited and waits for the helper
+        join(thread, *args, **kwargs)
+
+    def first():
+        began.set()
+        release.wait(timeout=10)
+        ran.append("first")
+
+    monkeypatch.setattr(threading.Thread, "join", releasing_join)
+    before = threading.enumerate()
+    with pytest.raises(BlockError), train_mod._helper() as beside:
+        beside(first)
+        began.wait(timeout=10)
+        beside(lambda: ran.append("second"))
+        beside(lambda: ran.append("third"))
+        raise BlockError("the block fails")
+    assert release.is_set() and ran == ["first"]
+    assert threading.enumerate() == before and _helper_threads() == []
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +910,7 @@ def test_split_steps_train_the_same_values_on_one_cpu_and_on_two(monkeypatch):
         histories.append([format_history_line(r) for r in res.history])
         models = {m for m, _ in calls}
         assert len(models) == 2 and model in models  # model and one twin
-        assert {t.name for m, t in calls if m is not model} == ({CALLER} if cpus == 1 else {"mtlid-train"})
+        assert {t.name for m, t in calls if m is not model} == ({CALLER} if cpus == 1 else {"mtlid-helper"})
         assert {t.name for m, t in calls if m is model} == {CALLER}
         calls.clear()
     assert values[0] == values[1]
@@ -870,10 +937,6 @@ class HalfError(Exception):
     pass
 
 
-def _training_helpers():
-    return [t for t in threading.enumerate() if t.name == "mtlid-train"]
-
-
 @pytest.mark.parametrize("failing", ["caller", "helper", "helper-merge", "helper-adam"])
 def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(monkeypatch, failing):
     monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
@@ -882,14 +945,18 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
     error = HalfError(failing)
     events = []
     models = set()
+    helper_began = threading.Event()
     forward = MtlModel.forward
 
     def failing_forward(self, seqs, train_mode=False, rng=None):
         models.add(self)
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (failing == "caller"):
+            if on_caller:  # a half the helper has begun runs to its end
+                helper_began.wait(timeout=10)
             events.append("raise")
             raise error
+        helper_began.set()
         time.sleep(0.05)  # the other half raises meanwhile
         out = forward(self, seqs, train_mode, rng)
         events.append("other half's forward done")
@@ -905,7 +972,7 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
 
             def failing_beside(job):
                 def run():
-                    assert threading.current_thread().name == "mtlid-train"
+                    assert threading.current_thread().name == "mtlid-helper"
                     time.sleep(0.05)  # the caller's own range runs meanwhile
                     events.append("raise")
                     raise error
@@ -927,7 +994,7 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
         assert len(models) == 2
     else:
         assert events == ["raise"]  # in the first split step
-    assert threading.enumerate() == before and _training_helpers() == []
+    assert threading.enumerate() == before and _helper_threads() == []
     for m in (model, *models):
         assert all(p.grad is None for p in m.params.values())
 
@@ -948,7 +1015,7 @@ def test_no_training_thread_or_gradient_outlives_train(monkeypatch):
     predict_sequences = train_mod._predict_sequences
 
     def recorded_predict(*args):
-        helpers_at_scoring.append(_training_helpers())
+        helpers_at_scoring.append(_helper_threads())
         return predict_sequences(*args)
 
     monkeypatch.setattr(train_mod, "_predict_sequences", recorded_predict)
@@ -964,14 +1031,14 @@ def test_no_training_thread_or_gradient_outlives_train(monkeypatch):
     train_ds, dev_ds, vocab, model = _dropout_setup()
     before = threading.enumerate()
     train(model, train_ds, dev_ds, vocab, TrainConfig(epochs=2, batch_size=8, seed=0))
-    assert threading.enumerate() == before and _training_helpers() == []
-    helpers = {t for _, t in calls if t.name == "mtlid-train"}
+    assert threading.enumerate() == before and _helper_threads() == []
+    helpers = {t for _, t in calls if t.name == "mtlid-helper"}
     assert helpers and not any(t.is_alive() for t in helpers)
     # 44 rows at batch 8: 6 split steps an epoch, for each of which the
     # epoch's one helper ran the second half and then the second range of
     # Adam's update; it is joined before the epoch's dev scoring
-    assert len(helpers) == 2 and {t for t in adam_threads if t.name == "mtlid-train"} == helpers
-    assert collections.Counter(t.name for t in adam_threads) == {CALLER: 12, "mtlid-train": 12}
+    assert len(helpers) == 2 and {t for t in adam_threads if t.name == "mtlid-helper"} == helpers
+    assert collections.Counter(t.name for t in adam_threads) == {CALLER: 12, "mtlid-helper": 12}
     assert len(handed) == 3 * 12  # each step's half, merge range and Adam range
     assert helpers_at_scoring == [[], []]
     models = {m for m, _ in calls}
@@ -980,7 +1047,7 @@ def test_no_training_thread_or_gradient_outlives_train(monkeypatch):
 
 
 def test_a_diverging_split_run_raises_divergence_error_without_numpy_warnings(monkeypatch):
-    # numpy's error state does not carry into the helper thread, which sets its own
+    # the helper runs each job under the caller's numpy error state, which train sets
     monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
     _usable_cpus(monkeypatch, 2)
     calls = _record_training_threads(monkeypatch)
@@ -993,8 +1060,8 @@ def test_a_diverging_split_run_raises_divergence_error_without_numpy_warnings(mo
         r"training diverged: loss \S+ at epoch \d+, step \d+ \(non-finite gradient in '[\w.]+'\)",
         str(info.value),
     ), str(info.value)
-    assert "mtlid-train" in {t.name for _, t in calls}
-    assert _training_helpers() == []
+    assert "mtlid-helper" in {t.name for _, t in calls}
+    assert _helper_threads() == []
     assert all(np.isfinite(p.data).all() for p in model.params.values())
 
 
