@@ -12,6 +12,14 @@ explicitly reset.
 The checks every configuration applies to its counts, seeds and rates
 live here too, at the bottom of the import graph, so Adam, the
 vocabulary builder and each config dataclass share them.
+
+Importing this module holds glibc's heap for the whole process: freeing
+the 16 MB array below raises the mmap threshold to 16 MB and the trim
+threshold to 32 MB (mallopt(3)). Left low, each freed graph trimmed the
+heap and the next forward faulted it back in (880-2,900 minor faults per
+16 x 64 half-step). 16 MB is above any array a step frees (4 MB), below
+glibc's 32 MB cap and never touched. On another libc it changes nothing;
+no test covers the cost of trimming freed graphs there.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ import numbers
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+np.empty(16 << 20, dtype=np.uint8)  # hold the heap (see the module docstring)
 
 DEFAULT_DTYPE = np.float32
 ParamSpec = tuple[str, tuple[int, ...], str]  # name, shape, init kind

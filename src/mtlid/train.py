@@ -27,7 +27,6 @@ from .tensor import (
     Adam,
     Job,
     NonFiniteGradientError,
-    Tensor,
     halves,
     in_turn,
     no_grad,
@@ -51,9 +50,9 @@ from .tensor import (
 # process may use two CPUs (see predict_texts). A whole block keeps
 # each numpy call long enough that the two threads seldom wait on each
 # other for the interpreter lock; blocks of about 512 positions ran only
-# 1.1-1.3x as fast on two threads as in turn. The helper's own malloc
-# arena raises peak RSS: about 2% on 64-token texts, but 5% on short
-# texts, so calls whose blocks batch_size limits stay on the caller.
+# 1.1-1.3x as fast on two threads as in turn. Calls whose blocks
+# batch_size limits, as with short texts, stay on the caller: with one span
+# stack, bench/tracer.py would add two threads' spans up past wall time.
 INFERENCE_TOKENS = 1024
 INFERENCE_BATCH = 64  # texts per block unless the caller says otherwise
 
@@ -285,11 +284,10 @@ class _RowDraws:
 
 class _Tower:
     """A model that train runs rows on, its parameters' grads viewing its
-    own gradient array, and the graph of the last rows it ran."""
+    own gradient array."""
 
     def __init__(self, model: MtlModel, grads: np.ndarray):
         self.model, self.grads = model, grads
-        self.graph: Tensor | None = None
         for name, view in parameter_views(grads, param_specs(model.config)).items():
             model.params[name].grad = view.data  # backward() accumulates into it
 
@@ -306,15 +304,11 @@ class _Tower:
 
         The loss is scaled by share, the rows' part of the whole batch,
         before the backward, and a loss that is not finite gets no
-        backward. The last rows' graph is freed only once these rows' loss
-        is computed: freed before the forward, it let glibc trim the heap
-        and fault it back in at every step (-13% peak RSS, -17% to -30%
-        train_ex_per_s).
+        backward.
         """
         self.grads.fill(0)
         logits_c, logits_p = self.model.forward(batch, train_mode=True, rng=rng)
         total, report = compute_loss(logits_c, logits_p, labels_c, labels_p, self.model.config)
-        self.graph = total
         if math.isfinite(report.total):
             (total if share == 1.0 else scale(total, share)).backward()
         return report.total
@@ -332,35 +326,35 @@ def _helper() -> Iterator[Callable[[Job], Job]]:
 
     Where the process may use two CPUs, beside(job) hands job to a helper
     thread, mtlid-helper, and returns a function that waits for that job
-    and raises its error as itself. The helper runs the jobs in the order
-    handed, each in a copy of the caller's context at the handing, so
-    under the caller's no_grad() and numpy error state. After an error it
-    runs no further job, and the wait for each one raises that error.
+    alone and raises its error as itself. The helper runs the jobs in the
+    order handed, each in a copy of the caller's context at the handing,
+    so under the caller's no_grad() and numpy error state. After an error
+    it runs no further job, and the wait for each one raises that error.
     Once the block exits, however it exits, the helper starts no job it
     has not begun, and it is joined. On one CPU beside is in_turn.
     """
     if _usable_cpus() < 2:
         yield in_turn
         return
-    jobs: queue.SimpleQueue[Job | None] = queue.SimpleQueue()
-    results: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()
+    jobs: queue.SimpleQueue[tuple[Job, queue.SimpleQueue] | None] = queue.SimpleQueue()
     closed = threading.Event()  # the block has exited
 
     def serve() -> None:
         error = None
-        while (job := jobs.get()) is not None:
+        for job, result in iter(jobs.get, None):
             if error is None and not closed.is_set():
                 try:
                     job()
                 except BaseException as exc:  # the caller re-raises it
                     error = exc
-            results.put(error)
+            result.put(error)
 
     def beside(job: Job) -> Job:
-        jobs.put(functools.partial(contextvars.copy_context().run, job))
+        result: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()  # this job's alone
+        jobs.put((functools.partial(contextvars.copy_context().run, job), result))
 
         def wait() -> None:
-            if (error := results.get()) is not None:
+            if (error := result.get()) is not None:
                 raise error
 
         return wait
@@ -410,11 +404,6 @@ def _split_step(
         losses[i] = towers[i].run(
             batch[part], labels_c[part], labels_p[part], draws[i], (part.stop - part.start) / rows
         )
-        # Unlike a whole step's, a half's graph is freed once its backward
-        # is done. Kept to the next step, split steps ran about 10% faster
-        # on the benchmark's long texts, but peak RSS stayed at the whole
-        # steps' level and once read 10% above it; freed, it is 12% lower.
-        towers[i].graph = None
 
     def merge(part: slice) -> None:
         tower.grads[part] += twin.grads[part]

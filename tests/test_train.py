@@ -4,16 +4,23 @@ import collections
 import contextlib
 import dataclasses
 import itertools
+import json
 import os
+import platform
 import re
 import signal
+import statistics
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mtlid import train as train_mod
 from mtlid.data import DataError, Dataset, Example, SynthConfig, synth_generate
@@ -808,6 +815,158 @@ def test_once_its_block_exits_the_helper_starts_no_job_it_has_not_begun(monkeypa
     assert threading.enumerate() == before and _helper_threads() == []
 
 
+@dataclasses.dataclass(frozen=True)
+class _ScriptJob:
+    """A job of a _Script: it sleeps, then returns or raises its own
+    JobError. It is handed under no_grad() or not, and under
+    np.errstate(over=over)."""
+
+    sleep_us: int = 0
+    raises: bool = False
+    no_grad: bool = False
+    over: str = "warn"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Script:
+    """What the caller does in one _helper block: hand jobs in order, then
+    wait for the jobs waits names, in that order, then leave the block,
+    raising BlockError if block_raises, on cpus usable CPUs."""
+
+    jobs: tuple[_ScriptJob, ...]
+    waits: tuple[int, ...]
+    block_raises: bool = False
+    cpus: int = 2
+
+
+class JobError(Exception):
+    pass
+
+
+@st.composite
+def _scripts(draw):
+    jobs = draw(
+        st.lists(
+            st.builds(
+                _ScriptJob,
+                sleep_us=st.integers(0, 1000),
+                raises=st.sampled_from([False, False, False, True]),
+                no_grad=st.booleans(),
+                over=st.sampled_from(["warn", "ignore", "raise"]),
+            ),
+            max_size=8,
+        )
+    )
+    in_order = tuple(range(len(jobs)))
+    some = draw(st.permutations(in_order))[: draw(st.integers(0, len(jobs)))]
+    waits = draw(st.sampled_from([in_order, tuple(some)]))
+    return _Script(tuple(jobs), waits, draw(st.booleans()), draw(st.sampled_from([1, 2])))
+
+
+def _run_script(script, helper):
+    """Run script with beside from the context manager helper. Returns the
+    jobs' begin events, each job's view of its context as (records a graph,
+    numpy's over mode), each wait's (job, error raised or None, whether
+    the job had finished), and the jobs' own errors."""
+    leaf = Tensor(np.ones(1, dtype=np.float32))
+    events, seen, ended, outcomes = [], {}, set(), []
+    errors = [JobError(i) for i in range(len(script.jobs))]
+
+    def job(i):
+        def run():
+            events.append(i)
+            seen[i] = (scale(leaf, 2.0)._parents == (leaf,), np.geterr()["over"])
+            time.sleep(script.jobs[i].sleep_us / 1e6)
+            if script.jobs[i].raises:
+                raise errors[i]
+            ended.add(i)
+
+        return run
+
+    join = threading.Thread.join
+
+    def recorded_join(thread, *args, **kwargs):
+        events.append("join")
+        join(thread, *args, **kwargs)
+
+    with mock.patch.object(threading.Thread, "join", recorded_join), contextlib.suppress(BlockError):
+        with helper as beside:
+            waits = []
+            for i, spec in enumerate(script.jobs):
+                with contextlib.ExitStack() as handing:
+                    if spec.no_grad:
+                        handing.enter_context(no_grad())
+                    handing.enter_context(np.errstate(over=spec.over))
+                    waits.append(beside(job(i)))
+            for i in script.waits:
+                try:
+                    waits[i]()
+                except JobError as exc:
+                    outcomes.append((i, exc, i in ended))
+                else:
+                    outcomes.append((i, None, i in ended))
+            if script.block_raises:
+                raise BlockError("the block fails")
+    return events, seen, outcomes, errors
+
+
+def _up_to_first_error(outcomes):
+    """The waits' (job, index of the job whose error it raised) up to the first that raised."""
+    kept = []
+    for i, exc, _ in outcomes:
+        kept.append((i, None if exc is None else exc.args[0]))
+        if exc is not None:
+            break
+    return kept
+
+
+_SLOW, _FAST = _ScriptJob(sleep_us=1000), _ScriptJob()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(script=_scripts())
+# a helper job's error reaches its wait as itself, and every later wait
+@example(script=_Script((_FAST, _ScriptJob(raises=True), _FAST, _SLOW), (0, 1, 2, 3)))
+# each wait waits for its own job, whatever the order of the waits
+@example(script=_Script((_SLOW, _SLOW), (1, 0)))
+@example(script=_Script((_FAST, _SLOW), (1,)))
+def test_the_helper_keeps_its_contract_on_any_job_script(script):
+    before = threading.enumerate()
+    outer_over = np.geterr()["over"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads swap as often as they can
+    try:
+        with mock.patch.object(train_mod.os, "sched_getaffinity", lambda pid: set(range(script.cpus)), create=True):
+            events, seen, outcomes, errors = _run_script(script, train_mod._helper())
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == before and _helper_threads() == []
+    begun = [e for e in events if e != "join"]
+    if script.cpus == 1:  # beside is in_turn: each job runs in its wait, in the caller's context there
+        assert "join" not in events
+        assert begun == list(script.waits)
+        assert all(seen[i] == (True, outer_over) for i in begun)
+        assert outcomes == [(i, errors[i] if script.jobs[i].raises else None, not script.jobs[i].raises) for i in begun]
+        return
+    assert begun == list(range(len(begun)))  # in the order handed, each at most once
+    # the one job that may begin after the block exits passed its check before
+    assert len(events) - events.index("join") - 1 <= 1
+    failed = next((i for i in begun if script.jobs[i].raises), None)
+    if failed is not None:
+        assert begun[-1] == failed  # no job begins after an error
+    for i in begun:  # in the context the caller handed it in
+        assert seen[i] == (not script.jobs[i].no_grad, script.jobs[i].over)
+    for i, exc, finished in outcomes:
+        if failed is not None and i >= failed:
+            assert exc is errors[failed]
+        else:
+            assert exc is None and finished
+    if script.waits == tuple(range(len(script.jobs))):  # as in_turn runs them, up to the first error
+        turn_events, _, turn_outcomes, _ = _run_script(script, contextlib.nullcontext(train_mod.in_turn))
+        assert begun == turn_events[: len(begun)]
+        assert _up_to_first_error(outcomes) == _up_to_first_error(turn_outcomes)
+
+
 # ---------------------------------------------------------------------------
 # split training steps
 # ---------------------------------------------------------------------------
@@ -1063,6 +1222,72 @@ def test_a_diverging_split_run_raises_divergence_error_without_numpy_warnings(mo
     assert "mtlid-helper" in {t.name for _, t in calls}
     assert _helper_threads() == []
     assert all(np.isfinite(p.data).all() for p in model.params.values())
+
+
+# ---------------------------------------------------------------------------
+# the heap
+# ---------------------------------------------------------------------------
+
+# Trains two epochs of 16 x 64 split steps at the default encoder, then
+# predicts 128 texts of 64 tokens, in 16 x 64 blocks, and prints the minor
+# page faults of each _Tower.run, a half of a split step, and of
+# each block's forward, each on the thread that ran it.
+_FAULTS_SCRIPT = """
+import dataclasses, json, resource, threading
+from mtlid import train as train_mod
+from mtlid.data import SynthConfig, synth_generate
+from mtlid.encoder import EncoderConfig
+from mtlid.model import ModelConfig, MtlModel
+from mtlid.preprocess import build_vocab, clean_text
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+
+def counted(run, out):
+    def wrapper(*args, **kwargs):
+        before = faults()
+        result = run(*args, **kwargs)
+        out.append(faults() - before)
+        return result
+    return wrapper
+
+train_ds, _, _ = synth_generate(
+    SynthConfig(n_countries=2, provinces_per_country=2, examples_per_province=24, tokens_per_example=64)
+)
+train_ds = dataclasses.replace(train_ds, examples=train_ds.examples[:64])
+vocab = build_vocab([clean_text(ex.text) for ex in train_ds.examples])
+model = MtlModel(ModelConfig(encoder=EncoderConfig(vocab_size=len(vocab)), n_provinces=4), global_seed=0)
+halves, blocks = [], []
+train_mod._Tower.run = counted(train_mod._Tower.run, halves)
+train_mod.train(model, train_ds, None, vocab, train_mod.TrainConfig(epochs=2))
+model.forward = counted(model.forward, blocks)
+train_mod.predict_texts(model, vocab, [ex.text for ex in train_ds.examples] * 2)
+print(json.dumps({"halves": halves, "blocks": blocks}))
+"""
+
+
+def test_a_fresh_process_faults_no_heap_back_in_at_split_steps_or_blocks():
+    # glibc trims its heap's top when a graph or a block's arrays are freed,
+    # unless its trim threshold has been raised; tensor.py raises it at
+    # import. Before that, each half of these steps took 880-2,900 minor
+    # faults and each block up to 1,403 (960-1,403 each on one CPU).
+    resource = pytest.importorskip("resource", reason="needs the resource module")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("needs per-thread resource usage (RUSAGE_THREAD)")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap's trim threshold is glibc's")
+    src = str(Path(train_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")  # as the mtlid command sets them
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    faults = json.loads(done.stdout)
+    halves, blocks = faults["halves"], faults["blocks"]
+    assert len(halves) == 2 * 8 and len(blocks) == 8  # 4 split steps an epoch; 8 blocks of 16 texts
+    second_epoch = halves[len(halves) // 2 :]
+    assert statistics.median(second_epoch) < 100, halves
+    assert statistics.median(blocks) < 100, blocks
 
 
 def test_every_epoch_carries_dev_metrics():
