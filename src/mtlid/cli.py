@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__, data as data_mod, train as train_mod
-from .data import DataError, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate, write_file
+from .data import DataError, Dataset, SynthConfig, load_texts, load_tsv, relabel, save_tsv, synth_generate, write_file
 from .encoder import EncoderConfig
-from .model import MODE_TASKS, MODES, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
+from .model import MODE_TASKS, MODES, TASKS, MtlModel, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import build_vocab, clean_text
 from .train import TrainConfig, evaluate, predict_texts, write_confusion, write_history
 
@@ -116,6 +116,11 @@ def _input_file(path: str, flag: str) -> Path:
     return src
 
 
+def _relabel(dataset: Dataset, labels: dict[str, list[str]], mode: str) -> Dataset:
+    """dataset on labels' ids for the heads mode trains; any other head keeps the file's own labels."""
+    return relabel(dataset, *(labels[t] if t in MODE_TASKS[mode] else getattr(dataset, f"{t}_labels") for t in TASKS))
+
+
 def _output_dir(path: str | Path, flag: str) -> Path:
     """An output directory that can be created; checked before any work.
 
@@ -151,7 +156,7 @@ def cmd_train(args) -> int:
             raise UsageError(
                 f"--train {args.train}: the {task} head needs at least 2 labels, found {len(labels[task])}"
             )
-    dev_ds = relabel(load_tsv(args.dev), train_ds.country_labels, train_ds.province_labels)
+    dev_ds = _relabel(load_tsv(args.dev), labels, args.mode)
 
     texts = [clean_text(ex.text) for ex in train_ds.examples]
     try:
@@ -205,13 +210,13 @@ def cmd_eval(args) -> int:
     conf_dir = _output_dir(args.confusion, "--confusion") if args.confusion else None
     data = _input_file(args.data, "--data")
     ckpt = load_checkpoint(_input_file(args.model, "--model"))
-    dataset = relabel(load_tsv(data), ckpt.country_labels, ckpt.province_labels)
+    labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}
+    dataset = _relabel(load_tsv(data), labels, ckpt.model.config.mode)
     reports = evaluate(ckpt.model, dataset, ckpt.vocab)
     for task, rep in reports.items():
         print(f"{task} f1={100 * rep.macro_f1:.2f} acc={100 * rep.accuracy:.2f}")
     if conf_dir is not None:
         conf_dir.mkdir(parents=True, exist_ok=True)
-        labels = {"country": ckpt.country_labels, "province": ckpt.province_labels}
         for task, rep in reports.items():
             write_confusion(conf_dir / f"confusion_{task}.tsv", labels[task], rep.confusion)
     return 0

@@ -44,10 +44,10 @@ from .tensor import (
 # 4 MB arrays. Of 256 to 2,048, 1,024 was as fast as any on long texts and
 # is the smallest that leaves a 64-row batch of 13-token texts whole; 512
 # cut those into 39-row blocks, which ran slower. Blocks always run whole.
-# When this budget cuts some block short of batch_size rows and a call has
-# two or more blocks, a helper thread that lives for one predict_texts call
-# runs every second block while the caller runs the rest, where the
-# process may use two CPUs (see predict_texts). A whole block keeps
+# When this budget cuts some block short of batch_size rows, a helper
+# thread that lives for one predict_texts call runs every second block
+# while the caller runs the rest, where the process may use two CPUs and
+# the call has a second block (see predict_texts). A whole block keeps
 # each numpy call long enough that the two threads seldom wait on each
 # other for the interpreter lock; blocks of about 512 positions ran only
 # 1.1-1.3x as fast on two threads as in turn. Calls whose blocks
@@ -197,7 +197,7 @@ def _predict_sequences(
     def run(i: int) -> None:
         parts[i] = [predict(logits) for logits in model.forward(blocks[i]) if logits is not None]
 
-    helper = _helper() if budgeted and len(blocks) > 1 else contextlib.nullcontext(in_turn)
+    helper = _helper() if budgeted else contextlib.nullcontext(in_turn)
     with no_grad(), helper as beside:
         waits = [beside(functools.partial(run, i)) for i in range(1, len(blocks), 2)]
         for i in range(0, len(blocks), 2):
@@ -220,16 +220,16 @@ def predict_texts(
     that budget on its own is a block of one. Every block runs whole. If
     some block of two or more texts is limited by the budget, not by
     batch_size (batch_size times its longest true_length is over
-    INFERENCE_TOKENS) and the call has two or more blocks, it runs under
-    one _helper for this call: the helper runs the second, fourth, ...
-    blocks in input order while the caller runs the first, third, ...,
-    and each concurrent caller runs its own. Otherwise, and where _helper
-    finds one CPU, the caller runs every block: for a lone block, and
-    where batch_size limits every block, as with short texts. The
-    rows of every block are the same either way, so the labels do not
-    depend on the CPU count. They equal those of one batch over all texts
-    except at near-ties, since a row's BLAS result depends on the rows it
-    runs with. Runs under no_grad: no graph is built.
+    INFERENCE_TOKENS), the call runs under one _helper of its own: the
+    helper runs the second, fourth, ... blocks in input order while the
+    caller runs the first, third, ..., and each concurrent caller runs
+    its own; a lone block hands it no job, so starts no thread. Otherwise,
+    as where batch_size limits every block (short texts), and where
+    _helper finds one CPU, the caller runs every block. The rows of every
+    block are the same either way, so the labels do not depend on the CPU
+    count. They equal those of one batch over all texts except at
+    near-ties, since a row's BLAS result depends on the rows it runs
+    with. Runs under no_grad: no graph is built.
     """
     return _predict_sequences(model, _encode_texts(texts, vocab, model.config.encoder.l_max), batch_size)
 
@@ -325,13 +325,14 @@ def _helper() -> Iterator[Callable[[Job], Job]]:
     place that starts a thread.
 
     Where the process may use two CPUs, beside(job) hands job to a helper
-    thread, mtlid-helper, and returns a function that waits for that job
-    alone and raises its error as itself. The helper runs the jobs in the
-    order handed, each in a copy of the caller's context at the handing,
-    so under the caller's no_grad() and numpy error state. After an error
-    it runs no further job, and the wait for each one raises that error.
-    Once the block exits, however it exits, the helper starts no job it
-    has not begun, and it is joined. On one CPU beside is in_turn.
+    thread, mtlid-helper, started at the first job, and returns a
+    function that waits for that job alone and raises its error as
+    itself. The helper runs the jobs in the order handed, each in a copy
+    of the caller's context at the handing, so under the caller's
+    no_grad() and numpy error state. After an error it runs no further
+    job, and the wait for each one raises that error. Once the block
+    exits, however it exits, the helper starts no job it has not begun,
+    and a started helper is joined. On one CPU beside is in_turn.
     """
     if _usable_cpus() < 2:
         yield in_turn
@@ -349,7 +350,12 @@ def _helper() -> Iterator[Callable[[Job], Job]]:
                     error = exc
             result.put(error)
 
+    # daemon: an interrupted join does not hold up the process's exit
+    helper = threading.Thread(target=serve, name="mtlid-helper", daemon=True)
+
     def beside(job: Job) -> Job:
+        if helper.ident is None:  # the first job
+            helper.start()
         result: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()  # this job's alone
         jobs.put((functools.partial(contextvars.copy_context().run, job), result))
 
@@ -359,15 +365,13 @@ def _helper() -> Iterator[Callable[[Job], Job]]:
 
         return wait
 
-    # daemon: an interrupted join does not hold up the process's exit
-    helper = threading.Thread(target=serve, name="mtlid-helper", daemon=True)
-    helper.start()
     try:
         yield beside
     finally:
         closed.set()
-        jobs.put(None)
-        helper.join()
+        if helper.ident is not None:
+            jobs.put(None)
+            helper.join()
 
 
 def _split_step(
@@ -383,13 +387,12 @@ def _split_step(
     on twin, their gradients summed into tower.grads; returns the batch's
     loss.
 
-    The second half and then the merge of the second range of the
-    gradient run through beside while the caller runs the first half and
-    merges the first range. Each half draws from its own _RowDraws copy
-    of rng, so it gets its rows of each dropout draw of one forward over
-    the whole batch; after both halves, rng takes the second half's state
-    with its own buffered word, the state an unsplit step leaves. An
-    error in either half or either range is raised as itself.
+    The second half runs through beside while the caller runs the first,
+    then adds twin.grads into tower.grads. Each half draws from its own
+    _RowDraws copy of rng, so it gets its rows of each dropout draw of
+    one forward over the whole batch; after both halves, rng takes the
+    second half's state with its own buffered word, the state an unsplit
+    step leaves. An error in either half is raised as itself.
     """
     rows = len(batch)
     width = max(seq.true_length for seq in batch)
@@ -405,18 +408,11 @@ def _split_step(
             batch[part], labels_c[part], labels_p[part], draws[i], (part.stop - part.start) / rows
         )
 
-    def merge(part: slice) -> None:
-        tower.grads[part] += twin.grads[part]
-
-    first, second = halves(tower.grads.size)
     second_half = beside(lambda: run(1))
     run(0)
-    # handed on only now: it adds into what the first half's backward wrote
-    second_merge = beside(lambda: merge(second))
     second_half()
     rng.bit_generator.state = {**state, "state": draws[1].bits.state["state"]}
-    merge(first)
-    second_merge()
+    tower.grads += twin.grads
     mid = parts[1].start
     return (losses[0] * mid + losses[1] * (rows - mid)) / rows
 
@@ -444,15 +440,15 @@ def train(
     same values whose grads view a second array. Each half draws only its
     own rows of each dropout draw, from its own copy of the generator, so
     the generator's stream is that of an unsplit step. After both halves
-    the twin's gradient is added into the model's in two ranges, and Adam
-    steps once, in the two ranges of halves(values.size). A _helper,
-    entered at an epoch's first split step, runs each split step's second
-    half, second range of the merge and second range of Adam's update
-    while the caller runs the first of each; it exits at the epoch's end,
-    before dev scoring, or when training raises. The split depends only
-    on the batch's shape, so the trained bytes do not depend on the CPU
-    count; they differ from an unsplit step's only in float summation
-    order. Every other step runs whole, on the caller.
+    the caller adds the twin's gradient into the model's, and Adam steps
+    once, in the two ranges of halves(values.size). Each epoch runs under
+    one _helper, whose thread starts at the epoch's first split step, if
+    any: it runs each split step's second half and second range of Adam's
+    update while the caller runs the first of each, and is joined at the
+    epoch's end, before dev scoring, or when training raises. The split
+    depends only on the batch's shape, so the trained bytes do not depend
+    on the CPU count; they differ from an unsplit step's only in float
+    summation order. Every other step runs whole, on the caller.
     """
     if not dataset_train.examples:
         raise ValueError("train: empty training dataset")
@@ -483,23 +479,19 @@ def train(
             loss_sum = 0.0
             # A diverging step overflows inside the forward pass; the loss and
             # gradient checks below report it, so numpy's warnings are noise.
-            # The helper's jobs run under this error state too.
-            with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as helpers:
-                split_beside = None  # from the epoch's first split step on
+            # The helper's jobs run under this error state too. One helper
+            # an epoch, joined before dev scoring starts its own. With one
+            # per step, bench train-long-country's peak RSS read about 81 MB
+            # in 5 of 21 runs, 72 MB in the rest; one kept across dev
+            # scoring held it at 75 MB.
+            with np.errstate(over="ignore", invalid="ignore"), _helper() as helper:
                 for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
                     idx = order[start : start + cfg.batch_size]
                     batch = [seqs[i] for i in idx]
                     split = len(idx) > 1 and len(idx) * max(seq.true_length for seq in batch) >= TRAIN_SPLIT_TOKENS
                     if split and twin is None:
                         twin = _Tower(MtlModel(model.config, values=model.values), np.zeros_like(grads))
-                    if split and split_beside is None:
-                        # One helper an epoch, joined before dev scoring
-                        # starts its own. With one per step, bench
-                        # train-long-country's peak RSS read about 81 MB in
-                        # 5 of 21 runs, 72 MB in the rest; one kept across
-                        # dev scoring held it at 75 MB.
-                        split_beside = helpers.enter_context(_helper())
-                    beside = split_beside if split else in_turn
+                    beside = helper if split else in_turn
                     if split:
                         loss = _split_step(tower, twin, batch, labels_c[idx], labels_p[idx], rng, beside)
                     else:

@@ -792,6 +792,39 @@ def test_single_task_mode_via_cli(corpus, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("country f1=")
 
 
+@pytest.mark.parametrize("mode", ["country", "province"])
+def test_a_single_task_run_takes_new_labels_of_the_head_it_does_not_train(corpus, tmp_path, capsys, mode):
+    # train's dev file and eval's data file take the training labels on the
+    # heads the mode trains; the other head keeps the file's own labels
+    untrained = {"country": "province", "province": "country"}[mode]
+
+    def with_new_label(task):
+        header, *rows = corpus["test"].read_text(encoding="utf-8").splitlines()
+        cells = [row.split("\t") for row in rows]
+        cells[0][{"country": 2, "province": 3}[task]] = "zz-new"
+        path = tmp_path / f"new-{task}.tsv"
+        path.write_text("\n".join([header, *("\t".join(row) for row in cells)]) + "\n", encoding="utf-8")
+        return path
+
+    args = ["train", "--train", str(corpus["train"]), "--config", str(corpus["config"]), "--mode", mode]
+    out = tmp_path / "run"
+    assert main([*args, "--dev", str(with_new_label(untrained)), "--out", str(out)]) == 0
+    model = str(out / "model.ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--data", str(corpus["test"])]) == 0
+    scores = capsys.readouterr().out
+    assert scores.startswith(f"{mode} f1=")
+    assert main(["eval", "--model", model, "--data", str(with_new_label(untrained))]) == 0
+    assert capsys.readouterr().out == scores
+    # a label new to the head the mode trains still exits 2
+    refused = tmp_path / "refused"
+    assert main([*args, "--dev", str(with_new_label(mode)), "--out", str(refused)]) == 2
+    assert capsys.readouterr().err == f"error: label-space mismatch: unknown {mode} label 'zz-new'\n"
+    assert not refused.exists()
+    assert main(["eval", "--model", model, "--data", str(with_new_label(mode))]) == 2
+    assert capsys.readouterr().err == f"error: label-space mismatch: unknown {mode} label 'zz-new'\n"
+
+
 def _one_label_corpus(corpus, tmp_path, task, label):
     """The corpus splits with every row's `task` label set to `label`."""
     column = {"country": 2, "province": 3}[task]

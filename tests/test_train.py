@@ -37,7 +37,7 @@ from mtlid.model import (
     save_checkpoint,
 )
 from mtlid.preprocess import build_vocab, clean_text, encode
-from mtlid.tensor import Adam, Tensor, no_grad, scale
+from mtlid.tensor import Adam, Tensor, halves, no_grad, scale
 from mtlid.train import (
     INFERENCE_TOKENS,
     DivergenceError,
@@ -757,64 +757,6 @@ def _helper_threads():
     return [t for t in threading.enumerate() if t.name == "mtlid-helper"]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_helper_job_runs_under_the_callers_no_grad_and_numpy_error_state(monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
-    leaf = Tensor(np.ones(3, dtype=np.float32))
-    big = np.full(3, 3e38, dtype=np.float32)
-    out, threads = [], []
-
-    def job(make):
-        def run():
-            threads.append(threading.current_thread().name)
-            out.append(make())
-
-        return run
-
-    with warnings.catch_warnings(), train_mod._helper() as beside:
-        warnings.simplefilter("error")
-        with no_grad():
-            beside(job(lambda: scale(leaf, 2.0)))()
-        beside(job(lambda: scale(leaf, 2.0)))()
-        with np.errstate(over="ignore"):
-            beside(job(lambda: big * np.float32(10)))()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            beside(job(lambda: big * np.float32(10)))()
-    assert threads == [CALLER if cpus == 1 else "mtlid-helper"] * 4
-    no_graph, graph, overflowed = out
-    assert no_graph._parents == () and no_graph._vjp is None
-    assert graph._parents == (leaf,)
-    assert np.isinf(overflowed).all()
-    assert _helper_threads() == []
-
-
-def test_once_its_block_exits_the_helper_starts_no_job_it_has_not_begun(monkeypatch):
-    _usable_cpus(monkeypatch, 2)
-    began, release = threading.Event(), threading.Event()
-    ran = []
-    join = threading.Thread.join
-
-    def releasing_join(thread, *args, **kwargs):
-        release.set()  # the block has exited and waits for the helper
-        join(thread, *args, **kwargs)
-
-    def first():
-        began.set()
-        release.wait(timeout=10)
-        ran.append("first")
-
-    monkeypatch.setattr(threading.Thread, "join", releasing_join)
-    before = threading.enumerate()
-    with pytest.raises(BlockError), train_mod._helper() as beside:
-        beside(first)
-        began.wait(timeout=10)
-        beside(lambda: ran.append("second"))
-        beside(lambda: ran.append("third"))
-        raise BlockError("the block fails")
-    assert release.is_set() and ran == ["first"]
-    assert threading.enumerate() == before and _helper_threads() == []
-
-
 @dataclasses.dataclass(frozen=True)
 class _ScriptJob:
     """A job of a _Script: it sleeps, then returns or raises its own
@@ -865,31 +807,44 @@ def _scripts(draw):
 
 def _run_script(script, helper):
     """Run script with beside from the context manager helper. Returns the
-    jobs' begin events, each job's view of its context as (records a graph,
-    numpy's over mode), each wait's (job, error raised or None, whether
-    the job had finished), and the jobs' own errors."""
+    events: each job's index when it begins, ("end", index) when it
+    returns, and "start" and "join" for each thread started and joined;
+    each job's view of its context as (records its parents, records its
+    vjp, numpy's over mode, its thread's name); each wait's (job, error
+    raised or None, whether the job had finished); and the jobs' own
+    errors."""
     leaf = Tensor(np.ones(1, dtype=np.float32))
-    events, seen, ended, outcomes = [], {}, set(), []
+    events, seen, outcomes = [], {}, []
     errors = [JobError(i) for i in range(len(script.jobs))]
 
     def job(i):
         def run():
             events.append(i)
-            seen[i] = (scale(leaf, 2.0)._parents == (leaf,), np.geterr()["over"])
+            out = scale(leaf, 2.0)
+            thread = threading.current_thread().name
+            seen[i] = (out._parents == (leaf,), out._vjp is not None, np.geterr()["over"], thread)
             time.sleep(script.jobs[i].sleep_us / 1e6)
             if script.jobs[i].raises:
                 raise errors[i]
-            ended.add(i)
+            events.append(("end", i))
 
         return run
 
-    join = threading.Thread.join
+    start, join = threading.Thread.start, threading.Thread.join
+
+    def recorded_start(thread):
+        events.append("start")
+        start(thread)
 
     def recorded_join(thread, *args, **kwargs):
         events.append("join")
         join(thread, *args, **kwargs)
 
-    with mock.patch.object(threading.Thread, "join", recorded_join), contextlib.suppress(BlockError):
+    with (
+        mock.patch.object(threading.Thread, "start", recorded_start),
+        mock.patch.object(threading.Thread, "join", recorded_join),
+        contextlib.suppress(BlockError),
+    ):
         with helper as beside:
             waits = []
             for i, spec in enumerate(script.jobs):
@@ -902,9 +857,9 @@ def _run_script(script, helper):
                 try:
                     waits[i]()
                 except JobError as exc:
-                    outcomes.append((i, exc, i in ended))
+                    outcomes.append((i, exc, ("end", i) in events))
                 else:
-                    outcomes.append((i, None, i in ended))
+                    outcomes.append((i, None, ("end", i) in events))
             if script.block_raises:
                 raise BlockError("the block fails")
     return events, seen, outcomes, errors
@@ -920,7 +875,13 @@ def _up_to_first_error(outcomes):
     return kept
 
 
+def _begun(events):
+    """The jobs in the order they began."""
+    return [e for e in events if isinstance(e, int)]
+
+
 _SLOW, _FAST = _ScriptJob(sleep_us=1000), _ScriptJob()
+_IN_CONTEXTS = (_ScriptJob(no_grad=True), _FAST, _ScriptJob(over="ignore"), _ScriptJob(over="raise"))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -930,6 +891,13 @@ _SLOW, _FAST = _ScriptJob(sleep_us=1000), _ScriptJob()
 # each wait waits for its own job, whatever the order of the waits
 @example(script=_Script((_SLOW, _SLOW), (1, 0)))
 @example(script=_Script((_FAST, _SLOW), (1,)))
+# each job runs under the no_grad() and numpy error state it was handed in
+@example(script=_Script(_IN_CONTEXTS, (0, 1, 2, 3), cpus=1))
+@example(script=_Script(_IN_CONTEXTS, (0, 1, 2, 3), cpus=2))
+# a job still running when the block exits ends; the jobs after it never begin
+@example(script=_Script((_ScriptJob(sleep_us=50_000), _FAST, _FAST), (), block_raises=True))
+# a block that hands no job starts no thread
+@example(script=_Script((), (), cpus=2))
 def test_the_helper_keeps_its_contract_on_any_job_script(script):
     before = threading.enumerate()
     outer_over = np.geterr()["over"]
@@ -941,21 +909,30 @@ def test_the_helper_keeps_its_contract_on_any_job_script(script):
     finally:
         sys.setswitchinterval(interval)
     assert threading.enumerate() == before and _helper_threads() == []
-    begun = [e for e in events if e != "join"]
-    if script.cpus == 1:  # beside is in_turn: each job runs in its wait, in the caller's context there
-        assert "join" not in events
+    begun = _begun(events)
+    if script.cpus == 1 or not script.jobs:  # beside is in_turn, or is handed no job: no thread starts
+        assert "start" not in events and "join" not in events
+        # each job runs in its wait, in the caller's context there
         assert begun == list(script.waits)
-        assert all(seen[i] == (True, outer_over) for i in begun)
+        assert all(seen[i] == (True, True, outer_over, CALLER) for i in begun)
         assert outcomes == [(i, errors[i] if script.jobs[i].raises else None, not script.jobs[i].raises) for i in begun]
         return
+    # the thread starts at the first job and is joined once, when the block exits
+    assert events[0] == "start" and events.count("start") == 1 and events.count("join") == 1
     assert begun == list(range(len(begun)))  # in the order handed, each at most once
-    # the one job that may begin after the block exits passed its check before
-    assert len(events) - events.index("join") - 1 <= 1
+    # a job begins after the block exits only if the helper passed its
+    # check before, so once the job ahead of it had ended
+    joined = events.index("join")
+    for i in _begun(events[joined:]):
+        assert i == 0 or ("end", i - 1) in events[:joined]
+    # the join waits for the job the helper is running
+    assert all(("end", i) in events for i in begun if not script.jobs[i].raises)
     failed = next((i for i in begun if script.jobs[i].raises), None)
     if failed is not None:
         assert begun[-1] == failed  # no job begins after an error
     for i in begun:  # in the context the caller handed it in
-        assert seen[i] == (not script.jobs[i].no_grad, script.jobs[i].over)
+        graph = not script.jobs[i].no_grad
+        assert seen[i] == (graph, graph, script.jobs[i].over, "mtlid-helper")
     for i, exc, finished in outcomes:
         if failed is not None and i >= failed:
             assert exc is errors[failed]
@@ -963,7 +940,7 @@ def test_the_helper_keeps_its_contract_on_any_job_script(script):
             assert exc is None and finished
     if script.waits == tuple(range(len(script.jobs))):  # as in_turn runs them, up to the first error
         turn_events, _, turn_outcomes, _ = _run_script(script, contextlib.nullcontext(train_mod.in_turn))
-        assert begun == turn_events[: len(begun)]
+        assert begun == _begun(turn_events)[: len(begun)]
         assert _up_to_first_error(outcomes) == _up_to_first_error(turn_outcomes)
 
 
@@ -1096,7 +1073,7 @@ class HalfError(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper", "helper-merge", "helper-adam"])
+@pytest.mark.parametrize("failing", ["caller", "helper", "helper-adam"])
 def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(monkeypatch, failing):
     monkeypatch.setattr(train_mod, "TRAIN_SPLIT_TOKENS", 1)
     _usable_cpus(monkeypatch, 2)
@@ -1121,8 +1098,8 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
         events.append("other half's forward done")
         return out
 
-    # the helper's jobs in a split step: its half, its merge, its Adam range
-    helper, failing_job = train_mod._helper, {"helper-merge": 1, "helper-adam": 2}.get(failing)
+    # the helper's jobs in a split step: its half, its Adam range
+    helper, failing_job = train_mod._helper, {"helper-adam": 1}.get(failing)
 
     @contextlib.contextmanager
     def failing_helper():
@@ -1144,6 +1121,7 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
         monkeypatch.setattr(MtlModel, "forward", failing_forward)
     else:
         monkeypatch.setattr(train_mod, "_helper", failing_helper)
+    initial = model.values.copy()
     before = threading.enumerate()
     with pytest.raises(HalfError) as info:
         train(model, train_ds, None, vocab, TrainConfig(epochs=1, batch_size=8, seed=0))
@@ -1153,6 +1131,10 @@ def test_an_error_in_either_half_reaches_the_caller_as_itself_after_the_join(mon
         assert len(models) == 2
     else:
         assert events == ["raise"]  # in the first split step
+        # the caller updated Adam's first range; the helper's failed
+        first, second = halves(model.values.size)
+        assert not np.array_equal(model.values[first], initial[first])
+        assert np.array_equal(model.values[second], initial[second])
     assert threading.enumerate() == before and _helper_threads() == []
     for m in (model, *models):
         assert all(p.grad is None for p in m.params.values())
@@ -1198,7 +1180,7 @@ def test_no_training_thread_or_gradient_outlives_train(monkeypatch):
     # Adam's update; it is joined before the epoch's dev scoring
     assert len(helpers) == 2 and {t for t in adam_threads if t.name == "mtlid-helper"} == helpers
     assert collections.Counter(t.name for t in adam_threads) == {CALLER: 12, "mtlid-helper": 12}
-    assert len(handed) == 3 * 12  # each step's half, merge range and Adam range
+    assert len(handed) == 2 * 12  # each step's half and Adam range
     assert helpers_at_scoring == [[], []]
     models = {m for m, _ in calls}
     assert len(models) == 2
